@@ -161,12 +161,14 @@ def cmd_errlab(args) -> int:
     n_max = args.n
     traj = errmodel.simulate_error_propagation(
         args.alpha, n_max, args.x, mode=args.mode, rng_seed=args.seed)
+    # the bound at degree n assumes the largest perturbation of steps 1..n
+    zeta_max = np.maximum.accumulate(errmodel._zeta_envelopes(
+        args.alpha, n_max, args.x, "standard", errmodel.DOUBLE_EPS))
     rows = []
     for n in range(1, n_max):
         inp = errmodel.ErrorBoundInput(
             n=n, alpha=args.alpha, x=args.x, eta=args.eta,
-            e1=abs(traj[1]), zeta_max=errmodel.zeta_estimate(
-                args.alpha, n, args.x))
+            e1=abs(traj[1]), zeta_max=float(zeta_max[n - 1]))
         bound = errmodel.abs_error_bound(inp)
         measured = errmodel.measure_actual_error(args.alpha, n, args.x,
                                                  mode=args.mode) \

@@ -10,7 +10,10 @@ Three evaluation routes are provided:
 * an adaptive rescaling scheme that folds the exponential prefactor
   ``exp(-x/2)`` into the iteration in small portions, so Laguerre functions
   of degree 1000+ can be evaluated at large arguments without overflow or
-  underflow (``eval_fun_stable`` and friends).
+  underflow: ``eval_fun_stable`` for one point, and one array kernel behind
+  ``fun_series_stable`` and ``fun_value_deriv_stable`` that checks for
+  points to rescale every few steps, an interval derived from the largest
+  abscissa and the headroom ``k1`` leaves below overflow.
 
 All functions are pure; overflow/underflow in the standard routes is
 deliberately passed through as IEEE infinities/zeros rather than masked,
@@ -82,7 +85,9 @@ class StableEvalConfig:
 
     Rescaling is triggered once ``|L| > exp(k1)`` and pushes the magnitude
     back down to about ``exp(-k2)``.  ``k1 + k2 < 80`` keeps every
-    intermediate representable in double precision.
+    intermediate representable in double precision.  ``k1`` also sets the
+    headroom between the array kernel's checks (see
+    ``_rescaled_recurrence``).
     """
 
     k1: float = 32.0
@@ -103,6 +108,9 @@ _DEFAULT_STABLE_CFG = StableEvalConfig()
 _LN2 = math.log(2.0)
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
+
+_LOG_DBL_MAX = math.log(np.finfo(float).max)
+_CHECK_MARGIN = 32.0  # nats of slack in the array kernel's check interval
 
 
 def _scale_exponent(M, x):
@@ -143,21 +151,41 @@ def _check_x(x: float) -> float:
     return x
 
 
+# The plain and difference loops start from ``w L_0`` and ``w L_1`` (or
+# ``w dL_1``): ``w = 1`` gives the polynomials, ``w = exp(-x/2)`` the
+# functions; a product with 1.0 is exact, so both keep their arithmetic.
+def _three_term(params: LagParams, x: float, w: float) -> LagSeries:
+    alpha, n = params.alpha, params.n
+    values = np.empty(n + 1)
+    values[0] = w
+    if n >= 1:
+        values[1] = (alpha + 1.0 - x) * w
+    for k in range(1, n):
+        values[k + 1] = ((2.0 * k + alpha + 1.0 - x) * values[k]
+                         - (k + alpha) * values[k - 1]) / (k + 1.0)
+    return LagSeries(params=params, x=x, values=values)
+
+
+def _difference(params: LagParams, x: float, w: float) -> LagSeries:
+    alpha, n = params.alpha, params.n
+    values = np.empty(n + 1)
+    deltas = np.empty(max(n, 0))
+    values[0] = w
+    if n >= 1:
+        deltas[0] = (alpha - x) * w
+        values[1] = values[0] + deltas[0]
+    for k in range(1, n):
+        deltas[k] = ((k + alpha) * deltas[k - 1] - x * values[k]) / (k + 1.0)
+        values[k + 1] = values[k] + deltas[k]
+    return LagSeries(params=params, x=x, values=values, deltas=deltas)
+
+
 def eval_poly_standard(params: LagParams, x: float) -> LagSeries:
     """Evaluate ``L_0(x) .. L_n(x)`` by the classical three-term recurrence.
 
     (k+1) L_{k+1} = (2k + alpha + 1 - x) L_k - (k + alpha) L_{k-1}.
     """
-    x = _check_x(x)
-    alpha, n = params.alpha, params.n
-    values = np.empty(n + 1)
-    values[0] = 1.0
-    if n >= 1:
-        values[1] = alpha + 1.0 - x
-    for k in range(1, n):
-        values[k + 1] = ((2.0 * k + alpha + 1.0 - x) * values[k]
-                         - (k + alpha) * values[k - 1]) / (k + 1.0)
-    return LagSeries(params=params, x=x, values=values)
+    return _three_term(params, _check_x(x), 1.0)
 
 
 def eval_poly_modified(params: LagParams, x: float) -> LagSeries:
@@ -170,18 +198,7 @@ def eval_poly_modified(params: LagParams, x: float) -> LagSeries:
         dL_{k+1} = ((k+alpha) dL_k - x L_k) / (k+1),
         L_{k+1}  = L_k + dL_{k+1}.
     """
-    x = _check_x(x)
-    alpha, n = params.alpha, params.n
-    values = np.empty(n + 1)
-    deltas = np.empty(max(n, 0))
-    values[0] = 1.0
-    if n >= 1:
-        deltas[0] = alpha - x
-        values[1] = values[0] + deltas[0]
-    for k in range(1, n):
-        deltas[k] = ((k + alpha) * deltas[k - 1] - x * values[k]) / (k + 1.0)
-        values[k + 1] = values[k] + deltas[k]
-    return LagSeries(params=params, x=x, values=values, deltas=deltas)
+    return _difference(params, _check_x(x), 1.0)
 
 
 def eval_poly_derivative(series: LagSeries) -> np.ndarray:
@@ -209,16 +226,7 @@ def eval_fun_standard(params: LagParams, x: float) -> LagSeries:
     through on purpose -- use the stable route when it matters.
     """
     x = _check_x(x)
-    alpha, n = params.alpha, params.n
-    w = math.exp(-x / 2.0)
-    values = np.empty(n + 1)
-    values[0] = w
-    if n >= 1:
-        values[1] = (alpha + 1.0 - x) * w
-    for k in range(1, n):
-        values[k + 1] = ((2.0 * k + alpha + 1.0 - x) * values[k]
-                         - (k + alpha) * values[k - 1]) / (k + 1.0)
-    return LagSeries(params=params, x=x, values=values)
+    return _three_term(params, x, math.exp(-x / 2.0))
 
 
 def eval_fun_modified(params: LagParams, x: float) -> LagSeries:
@@ -227,18 +235,7 @@ def eval_fun_modified(params: LagParams, x: float) -> LagSeries:
     Same underflow caveat as :func:`eval_fun_standard`.
     """
     x = _check_x(x)
-    alpha, n = params.alpha, params.n
-    w = math.exp(-x / 2.0)
-    values = np.empty(n + 1)
-    deltas = np.empty(max(n, 0))
-    values[0] = w
-    if n >= 1:
-        deltas[0] = (alpha - x) * w
-        values[1] = values[0] + deltas[0]
-    for k in range(1, n):
-        deltas[k] = ((k + alpha) * deltas[k - 1] - x * values[k]) / (k + 1.0)
-        values[k + 1] = values[k] + deltas[k]
-    return LagSeries(params=params, x=x, values=values, deltas=deltas)
+    return _difference(params, x, math.exp(-x / 2.0))
 
 
 def eval_fun_stable(params: LagParams, x: float,
@@ -253,15 +250,15 @@ def eval_fun_stable(params: LagParams, x: float,
     two, and the leftover exponent goes through a compensated split at the
     end, so the result does not depend on ``(k1, k2)`` beyond the final
     rounding.
+
+    A Python-float loop on purpose: callers pass one abscissa at a time,
+    where the array kernel's numpy calls cost about 30 times more.
     """
     x = _check_x(x)
-    if cfg is None:
-        cfg = _DEFAULT_STABLE_CFG
+    cfg = cfg or _DEFAULT_STABLE_CFG
     alpha, n = params.alpha, params.n
-    if n == 0:
-        return math.exp(-x / 2.0)
-    if n == 1:
-        return (1.0 + alpha - x) * math.exp(-x / 2.0)
+    if n <= 1:
+        return (1.0 if n == 0 else 1.0 + alpha - x) * math.exp(-x / 2.0)
 
     big = math.exp(cfg.k1)
     L = 1.0 + alpha - x
@@ -285,62 +282,95 @@ def eval_fun_stable(params: LagParams, x: float,
     return _finalize_scalar(L, M, x)
 
 
+def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
+                         cfg: StableEvalConfig, series=None,
+                         partial_sum: bool = False):
+    """:func:`eval_fun_stable`'s recurrence at many abscissae, ``n >= 1``.
+
+    Rescales every point on the first step, then, every ``every`` steps,
+    only the points with ``|L| > exp(k1)``.  Returns ``(L, M, S)`` with
+    ``L = 2^-M L_n`` and, if ``partial_sum``, the running sum
+    ``S = L_0 + .. + L_n`` on the same scale (else ``None``).  ``series``,
+    a pair of ``(n+1, npts)`` arrays with row 0 set, receives rows 1..n of
+    the stored values and their halvings.
+    """
+    # A rescale is an exact power of two and finalizing goes through frexp,
+    # so checking every K steps changes no result as long as nothing
+    # overflows.  A step maps m = max(|L|, |dL|) to at most g m, with
+    # g = 2 + |alpha| + x_max as |k+alpha|/(k+1) <= 1 + |alpha| and
+    # x/(k+1) <= x/2.  A check leaves |L| <= exp(k1) (or near the weighted
+    # function once the budget x/2 is spent), and the running sum and
+    # (k+alpha) dL stay within n+1 times the largest state, so K steps stay
+    # finite while K log g <= log(DBL_MAX) - k1 - log(n+1) - margin.  The
+    # margin covers |dL| > |L| just after a check, near a sign change of L.
+    g = 2.0 + abs(alpha) + float(xs.max(initial=0.0))
+    headroom = _LOG_DBL_MAX - cfg.k1 - math.log(n + 1.0) - _CHECK_MARGIN
+    every = max(1, int(headroom // math.log(g))) if math.isfinite(g) else 1
+    npts = xs.size
+    big = math.exp(cfg.k1)
+    half_x = 0.5 * xs
+    L = 1.0 + alpha - xs
+    dL = alpha - xs
+    tmp = np.empty(npts)
+    M = np.zeros(npts, dtype=np.int64)
+    S = 1.0 + L if partial_sum else None
+    stored, halvings = series or (None, None)
+    if series:
+        stored[1], halvings[1] = L, 0
+    sums = () if S is None else (S,)
+    for k in range(1, n):
+        dL *= k + alpha
+        dL -= np.multiply(xs, L, out=tmp)
+        dL /= k + 1.0
+        L = np.add(L, dL, out=stored[k + 1] if series else L)
+        if S is not None:
+            S += L
+        if (k - 1) % every == 0:
+            idx = (np.arange(npts) if k == 1
+                   else np.flatnonzero(np.abs(L) > big))
+            idx = idx[(L[idx] != 0.0) & np.isfinite(L[idx])]
+            if idx.size:
+                xb = np.maximum(half_x[idx] - M[idx] * _LN2, 0.0)
+                xc = np.clip(np.log(np.abs(L[idx])) + cfg.k2, 0.0, xb)
+                shift = (xc / _LN2).astype(np.int64)
+                for v in (L, dL) + sums:
+                    v[idx] = np.ldexp(v[idx], -shift)
+                M[idx] += shift
+        if series:
+            halvings[k + 1] = M
+    if not all(np.isfinite(v).all() for v in (L,) + sums):
+        raise ArithmeticError("non-finite intermediate in rescaled recurrence")
+    return L, M, S
+
+
+def _abscissae(x) -> np.ndarray:
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(xs < 0):
+        raise ValueError("abscissae must be >= 0")
+    return xs
+
+
 def fun_series_stable(params: LagParams, x, cfg: StableEvalConfig | None = None
                       ) -> np.ndarray:
     """Stable Laguerre-function series at one or many abscissae.
 
-    Extends the adaptive rescaling to return the full series: the partially
-    weighted iterates are recorded together with the number of exact
-    power-of-two halvings applied when each was produced, and every entry
-    is finalized through the compensated leftover exponent.  Early entries
-    whose true magnitude is below the double-precision range come out as
-    exact zeros.
+    The partially weighted iterates are recorded with the power-of-two
+    halvings applied when each was produced, and every entry is finalized
+    through the compensated leftover exponent.  Early entries whose true
+    magnitude is below the double-precision range come out as exact zeros.
 
     Returns an array of shape ``(n+1,)`` for scalar ``x`` or
     ``(n+1, len(x))`` for array ``x``.
     """
-    if cfg is None:
-        cfg = _DEFAULT_STABLE_CFG
-    alpha, n = params.alpha, params.n
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    scalar = np.ndim(x) == 0
-    if np.any(xs < 0):
-        raise ValueError("abscissae must be >= 0")
-    npts = xs.size
-
-    stored = np.empty((n + 1, npts))
-    halvings = np.zeros((n + 1, npts), dtype=np.int64)
+    xs = _abscissae(x)
+    stored = np.empty((params.n + 1, xs.size))
+    halvings = np.zeros(stored.shape, dtype=np.int64)
     stored[0] = 1.0
-    if n >= 1:
-        L = 1.0 + alpha - xs
-        dL = alpha - xs
-        stored[1] = L
-        M = np.zeros(npts, dtype=np.int64)
-        big = math.exp(cfg.k1)
-        half_x = 0.5 * xs
-        for k in range(1, n):
-            dL = ((k + alpha) * dL - xs * L) / (k + 1.0)
-            L = L + dL
-            mask = np.abs(L) > big
-            if k == 1:
-                mask = np.ones_like(mask)
-            mask &= (L != 0.0) & np.isfinite(L)
-            if mask.any():
-                absL = np.where(mask, np.abs(L), 1.0)
-                xb = np.maximum(half_x - M * _LN2, 0.0)
-                xc = np.where(mask,
-                              np.clip(np.log(absL) + cfg.k2, 0.0, xb), 0.0)
-                shift = (xc / _LN2).astype(np.int64)
-                L = np.ldexp(L, -shift)
-                dL = np.ldexp(dL, -shift)
-                M = M + shift
-            stored[k + 1] = L
-            halvings[k + 1] = M
-        if not np.all(np.isfinite(L)):
-            raise ArithmeticError(
-                "non-finite intermediate in rescaled recurrence")
+    if params.n >= 1:
+        _rescaled_recurrence(params.alpha, params.n, xs,
+                             cfg or _DEFAULT_STABLE_CFG, (stored, halvings))
     values = _finalize_array(stored, halvings, xs[None, :])
-    return values[:, 0] if scalar else values
+    return values[:, 0] if np.ndim(x) == 0 else values
 
 
 def fun_value_deriv_stable(params: LagParams, x,
@@ -353,52 +383,20 @@ def fun_value_deriv_stable(params: LagParams, x,
     lockstep with the iterate, so the ratio value/derivative stays accurate
     for Newton refinement of quadrature nodes.
     """
-    if cfg is None:
-        cfg = _DEFAULT_STABLE_CFG
     alpha, n = params.alpha, params.n
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    scalar = np.ndim(x) == 0
-    if np.any(xs < 0):
-        raise ValueError("abscissae must be >= 0")
-    w = np.exp(-xs / 2.0)
-    if n == 0:
-        val, der = w, -0.5 * w
-        return (val[0], der[0]) if scalar else (val, der)
-    if n == 1:
-        val = (1.0 + alpha - xs) * w
-        der = -(alpha + 3.0 - xs) / 2.0 * w
-        return (val[0], der[0]) if scalar else (val, der)
-
-    big = math.exp(cfg.k1)
-    L = 1.0 + alpha - xs
-    dL = alpha - xs
-    S = 1.0 + L  # running sum L_0 + ... + L_top, same scale as L
-    M = np.zeros(xs.size, dtype=np.int64)
-    half_x = 0.5 * xs
-    for k in range(1, n):
-        dL = ((k + alpha) * dL - xs * L) / (k + 1.0)
-        L = L + dL
-        S = S + L
-        mask = np.abs(L) > big
-        if k == 1:
-            mask = np.ones_like(mask)
-        mask &= (L != 0.0) & np.isfinite(L)
-        if mask.any():
-            absL = np.where(mask, np.abs(L), 1.0)
-            xb = np.maximum(half_x - M * _LN2, 0.0)
-            xc = np.where(mask, np.clip(np.log(absL) + cfg.k2, 0.0, xb), 0.0)
-            shift = (xc / _LN2).astype(np.int64)
-            L = np.ldexp(L, -shift)
-            dL = np.ldexp(dL, -shift)
-            S = np.ldexp(S, -shift)
-            M = M + shift
-    if not np.all(np.isfinite(L)) or not np.all(np.isfinite(S)):
-        raise ArithmeticError("non-finite intermediate in rescaled recurrence")
-    val = _finalize_array(L, M, xs)
-    # exp(-x/2) * L_n' = -(S - L) * leftover scale; then the product rule
-    # for the exp(-x/2) prefactor contributes -val/2
-    der = -_finalize_array(S - L, M, xs) - 0.5 * val
-    return (val[0], der[0]) if scalar else (val, der)
+    xs = _abscissae(x)
+    if n <= 1:
+        w = np.exp(-xs / 2.0)
+        val = w if n == 0 else (1.0 + alpha - xs) * w
+        der = -0.5 * w if n == 0 else -(alpha + 3.0 - xs) / 2.0 * w
+    else:
+        L, M, S = _rescaled_recurrence(
+            alpha, n, xs, cfg or _DEFAULT_STABLE_CFG, partial_sum=True)
+        val = _finalize_array(L, M, xs)
+        # exp(-x/2) * L_n' = -(S - L) * leftover scale; then the product
+        # rule for the exp(-x/2) prefactor contributes -val/2
+        der = -_finalize_array(S - L, M, xs) - 0.5 * val
+    return (val[0], der[0]) if np.ndim(x) == 0 else (val, der)
 
 
 def eval_fun_derivative(params: LagParams, x: float) -> np.ndarray:

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from lagspec import errmodel
 from lagspec.cli import NUMERIC_ERROR, USAGE_ERROR, main
 
 
@@ -123,6 +124,22 @@ class TestErrlab:
         assert len(rows) == 19
         assert all(float(r["simulated_err"]) <= float(r["theory_bound"])
                    for r in rows)
+
+    def test_theory_bound_takes_running_max_envelope(self, capsys):
+        # the bound at degree n holds under the largest per-step
+        # perturbation over steps 1..n, so it can only grow with n
+        alpha, x, n_max = 0.0, 0.1, 120
+        code, out = _run(capsys, "errlab", "--x", repr(x), "--n", str(n_max))
+        assert code == 0
+        bound = np.array([float(r["theory_bound"]) for r in _rows(out)])
+        assert np.all(np.diff(bound) >= 0)
+        e1 = abs(errmodel.simulate_error_propagation(alpha, n_max, x)[1])
+        zeta_max = np.maximum.accumulate(
+            [errmodel.zeta_estimate(alpha, n, x) for n in range(1, n_max)])
+        expect = [errmodel.abs_error_bound(errmodel.ErrorBoundInput(
+            n=n, alpha=alpha, x=x, eta=0.25, e1=e1, zeta_max=float(z)))
+            for n, z in zip(range(1, n_max), zeta_max)]
+        assert bound.tolist() == expect
 
     def test_measured_column(self, capsys):
         code, out = _run(capsys, "errlab", "--x", "0.1", "--n", "5",

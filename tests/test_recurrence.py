@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
+from lagspec.quadrature import gauss_rule
 from lagspec.recurrence import (
     LagParams,
     StableEvalConfig,
@@ -194,6 +195,51 @@ class TestFunctionRoutes:
         val, der = fun_value_deriv_stable(LagParams(0.0, 1), 2.0)
         assert val == pytest.approx(-w)
         assert der == pytest.approx(-0.5 * w)
+
+
+@pytest.fixture(scope="module")
+def nodes_2049():
+    return gauss_rule(0.0, 2048).nodes
+
+
+class TestRescaledKernel:
+    """The array kernel behind ``fun_series_stable`` and
+    ``fun_value_deriv_stable``: rescaling only triggered points, every few
+    steps, must not change a bit of the output."""
+
+    @pytest.mark.parametrize("k1,k2", [(20.0, 40.0), (48.0, 16.0),
+                                       (16.0, 48.0)])
+    def test_threshold_independence_bitwise(self, nodes_2049, k1, k2):
+        mids = 0.5 * (nodes_2049[:-1] + nodes_2049[1:])
+        cfg = StableEvalConfig(k1=k1, k2=k2)
+        p = LagParams(0.0, 2048)
+        base = np.array(fun_value_deriv_stable(p, mids))
+        other = np.array(fun_value_deriv_stable(p, mids, cfg))
+        assert other.tobytes() == base.tobytes()
+        probe = np.concatenate([mids[:-10:16], mids[-10:]])
+        base = fun_series_stable(p, probe)
+        assert fun_series_stable(p, probe, cfg).tobytes() == base.tobytes()
+
+    @pytest.mark.parametrize("x", [1e4, 1e30, 1e100, 1e140])
+    def test_huge_abscissae_stay_finite(self, x):
+        # the check interval shrinks with the largest abscissa; a fixed one
+        # overflows here
+        p = LagParams(0.0, 2048)
+        xs = np.array([1.0, x])
+        val, der = fun_value_deriv_stable(p, xs)
+        series = fun_series_stable(p, xs)
+        assert np.all(np.isfinite(val)) and np.all(np.isfinite(der))
+        assert np.all(np.isfinite(series))
+        assert val[0] == series[-1, 0]
+
+    def test_views_agree_with_scalar_route(self, nodes_2049):
+        p = LagParams(0.0, 2048)
+        xs = nodes_2049[-5:]
+        scalar = np.array([eval_fun_stable(p, float(x)) for x in xs])
+        val, _ = fun_value_deriv_stable(p, xs)
+        np.testing.assert_allclose(val, scalar, rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(fun_series_stable(p, xs)[-1], scalar,
+                                   rtol=1e-11, atol=0.0)
 
 
 class TestNormConst:
