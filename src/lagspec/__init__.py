@@ -24,16 +24,13 @@ from .quadrature import (
     gauss_rule,
     gauss_radau_rule,
     cached_gauss_rule,
-    function_weights,
-    integrate,
 )
 from .oracle import HpContext, hp_eval_poly, hp_eval_fun, hp_gauss_nodes
 from .errmodel import (
     ErrorBoundInput,
     ErrorBoundResult,
     Regime,
-    zeta_estimate,
-    zeta_delta_estimate,
+    zeta_envelopes,
     energy_bound,
     abs_error_bound,
     simulate_error_propagation,
@@ -43,8 +40,6 @@ from .spectral import (
     ModelProblem,
     SpectralSolution,
     ErrorReport,
-    basis_eval,
-    basis_deriv,
     assemble_system,
     project_rhs,
     solve,

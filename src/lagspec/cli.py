@@ -162,8 +162,8 @@ def cmd_errlab(args) -> int:
     traj = errmodel.simulate_error_propagation(
         args.alpha, n_max, args.x, mode=args.mode, rng_seed=args.seed)
     # the bound at degree n assumes the largest perturbation of steps 1..n
-    zeta_max = np.maximum.accumulate(errmodel._zeta_envelopes(
-        args.alpha, n_max, args.x, "standard", errmodel.DOUBLE_EPS))
+    zeta_max = np.maximum.accumulate(
+        errmodel.zeta_envelopes(args.alpha, n_max, args.x))
     rows = []
     for n in range(1, n_max):
         inp = errmodel.ErrorBoundInput(
@@ -257,7 +257,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
         return args.func(args)
-    except (ValueError,) as exc:
+    except (ValueError, OSError) as exc:  # OSError: --out not writable
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ArithmeticError, FloatingPointError) as exc:

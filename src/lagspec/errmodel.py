@@ -26,8 +26,7 @@ __all__ = [
     "Regime",
     "ErrorBoundInput",
     "ErrorBoundResult",
-    "zeta_estimate",
-    "zeta_delta_estimate",
+    "zeta_envelopes",
     "growth_factor",
     "energy_bound",
     "abs_error_bound",
@@ -36,7 +35,7 @@ __all__ = [
     "measure_actual_error",
 ]
 
-DOUBLE_EPS = 2.22e-16
+DOUBLE_EPS = float(np.finfo(float).eps)
 
 
 class Regime(str, Enum):
@@ -93,30 +92,6 @@ class ErrorBoundResult:
     energy_bound: float
     abs_bound: float
     beta_n: float | None = None
-
-
-def zeta_estimate(alpha: float, n: int, x: float, series=None,
-                  eps: float = DOUBLE_EPS) -> float:
-    """Perturbation envelope of one standard-recurrence step:
-    ``(2 + x/(n+1)) |L_n| eps + |L_{n-1}| eps``.
-    """
-    if series is None:
-        series = eval_poly_standard(LagParams(alpha=alpha, n=n), x)
-    v = series.values
-    return (2.0 + x / (n + 1.0)) * abs(v[n]) * eps + abs(v[n - 1]) * eps
-
-
-def zeta_delta_estimate(alpha: float, n: int, x: float, series=None,
-                        eps: float = DOUBLE_EPS) -> float:
-    """Perturbation envelope of one difference-recurrence step:
-    ``(|dL_n| + (x/(n+1)) |L_n|) eps``.
-    """
-    if series is None:
-        series = eval_poly_modified(LagParams(alpha=alpha, n=n), x)
-    if series.deltas is None:
-        raise ValueError("series must carry deltas (difference form)")
-    dl = abs(series.deltas[n - 1])
-    return (dl + x / (n + 1.0) * abs(series.values[n])) * eps
 
 
 def growth_factor(n: int, alpha: float, x: float, eta: float) -> float:
@@ -186,19 +161,27 @@ def abs_error_bound(inp: ErrorBoundInput) -> float:
             / math.sqrt(inp.eta)) * m / sx
 
 
-def _zeta_envelopes(alpha: float, n_max: int, x: float, mode: str,
-                    eps: float) -> np.ndarray:
+def zeta_envelopes(alpha: float, n_max: int, x: float,
+                   mode: str = "standard",
+                   eps: float = DOUBLE_EPS) -> np.ndarray:
+    """Per-step perturbation envelopes of steps ``n = 1 .. n_max-1``.
+
+    Entry ``n-1`` bounds the perturbation of step n, from one series of
+    degree ``n_max``:
+
+    * ``mode="standard"``: ``(2 + x/(n+1)) |L_n| eps + |L_{n-1}| eps``,
+    * ``mode="delta"``: ``(|dL_n| + (x/(n+1)) |L_n|) eps`` with
+      ``dL_n = L_n - L_{n-1}`` from the difference recurrence.
+    """
     params = LagParams(alpha=alpha, n=n_max)
+    n = np.arange(1, n_max)
     if mode == "standard":
-        series = eval_poly_standard(params, x)
-        v = np.abs(series.values)
-        n = np.arange(1, n_max)
+        v = np.abs(eval_poly_standard(params, x).values)
         return (2.0 + x / (n + 1.0)) * v[1:n_max] * eps + v[0:n_max - 1] * eps
     if mode == "delta":
         series = eval_poly_modified(params, x)
         v = np.abs(series.values)
         d = np.abs(series.deltas)
-        n = np.arange(1, n_max)
         return (d[0:n_max - 1] + x / (n + 1.0) * v[1:n_max]) * eps
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -210,13 +193,13 @@ def simulate_error_propagation(alpha: float, n_max: int, x: float,
     """Simulate the error recurrence with random per-step perturbations.
 
     ``zeta_n`` is drawn uniformly from ``[-env_n, +env_n]`` where the
-    envelope comes from the corresponding estimate.  Returns the
-    trajectory ``e_0 .. e_{n_max}``; deterministic for a given seed.
+    envelope comes from :func:`zeta_envelopes` in the same mode.  Returns
+    the trajectory ``e_0 .. e_{n_max}``; deterministic for a given seed.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    env = _zeta_envelopes(alpha, n_max, x, mode, eps)
+    env = zeta_envelopes(alpha, n_max, x, mode, eps)
     zeta = rng.uniform(-env, env)
     if e1 is None:
         e1 = abs(1.0 + alpha - x) * eps

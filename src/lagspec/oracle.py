@@ -4,18 +4,11 @@ Everything here runs through mpmath at a configurable decimal precision
 (24 digits by default, matching the double-precision test regime with a
 comfortable margin).  Results cross module boundaries as decimal strings so
 the double-precision API stays free of extended-precision types.
-
-Reference node sets can be cached to CSV (``alpha,N,kind,index,value_decimal``)
-so repeated test runs do not re-derive them; the cache directory is taken
-from the ``LAGSPEC_ORACLE_CACHE`` environment variable when set.
 """
 
 from __future__ import annotations
 
-import csv
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 from mpmath import mp
 
@@ -28,9 +21,6 @@ __all__ = [
     "hp_gauss_nodes",
     "hp_poly_series",
     "hp_gauss_nodes_mpf",
-    "cache_path",
-    "save_nodes_cache",
-    "load_nodes_cache",
 ]
 
 
@@ -118,42 +108,3 @@ def hp_gauss_nodes(ctx: HpContext, alpha, N: int) -> list[str]:
     with mp.workdps(ctx.digits):
         return [mp.nstr(x, ctx.digits) for x in hp_gauss_nodes_mpf(ctx, alpha, N)]
 
-
-def cache_path(alpha, N: int, kind: str, digits: int,
-               directory: str | os.PathLike | None = None) -> Path:
-    """Location of the cache file for one reference node/value set."""
-    if directory is None:
-        directory = os.environ.get("LAGSPEC_ORACLE_CACHE", ".")
-    name = f"oracle_a{alpha}_N{N}_{kind}_d{digits}.csv"
-    return Path(directory) / name
-
-
-def save_nodes_cache(ctx: HpContext, alpha, N: int, values: list[str],
-                     kind: str = "gauss",
-                     directory: str | os.PathLike | None = None) -> Path:
-    path = cache_path(alpha, N, kind, ctx.digits, directory)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "N", "kind", "index", "value_decimal"])
-        for i, v in enumerate(values):
-            writer.writerow([alpha, N, kind, i, v])
-    return path
-
-
-def load_nodes_cache(alpha, N: int, kind: str = "gauss", digits: int = 24,
-                     directory: str | os.PathLike | None = None
-                     ) -> list[str] | None:
-    """Read a cached reference set; None when absent or malformed."""
-    path = cache_path(alpha, N, kind, digits, directory)
-    if not path.is_file():
-        return None
-    out: list[str] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["alpha", "N", "kind", "index", "value_decimal"]:
-            return None
-        for row in reader:
-            out.append(row[4])
-    return out or None

@@ -30,8 +30,6 @@ __all__ = [
     "gauss_rule",
     "gauss_radau_rule",
     "cached_gauss_rule",
-    "function_weights",
-    "integrate",
 ]
 
 _EPS = np.finfo(float).eps
@@ -221,31 +219,3 @@ def cached_gauss_rule(alpha: float, N: int,
         return gauss_rule(alpha, N)
     return gauss_radau_rule(alpha, N)
 
-
-def function_weights(rule: GaussRule) -> np.ndarray:
-    """Function-form weights ``exp(x_j) w_j`` of a rule.
-
-    Rules built here carry them precomputed from the log-space pieces, so
-    this is a plain accessor.
-    """
-    return rule.fun_weights
-
-
-def integrate(rule: GaussRule, f, form: str = "poly_weighted") -> float:
-    """Apply the rule to ``f``.
-
-    ``form="poly_weighted"`` approximates the integral of
-    ``f(x) x^alpha exp(-x)``; ``form="function_form"`` uses the
-    function-form weights, approximating the integral of
-    ``f(x) x^alpha`` for integrands that already carry exponential decay.
-    """
-    vals = np.asarray([f(xj) for xj in rule.nodes], dtype=float)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        raise ArithmeticError(
-            f"integrand non-finite at node index {int(np.flatnonzero(bad)[0])}")
-    if form == "poly_weighted":
-        return float(vals @ rule.weights)
-    if form == "function_form":
-        return float(vals @ rule.fun_weights)
-    raise ValueError(f"unknown form {form!r}")

@@ -69,14 +69,13 @@ class LagSeries:
     ``values[k]`` holds either the polynomial ``L_k(x)`` or the function
     ``exp(-x/2) L_k(x)`` depending on which routine produced the series.
     ``deltas[k-1] = values[k] - values[k-1]`` when the difference form was
-    used, ``derivs`` is filled on demand.
+    used.
     """
 
     params: LagParams
     x: float
     values: np.ndarray
     deltas: np.ndarray | None = None
-    derivs: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -132,16 +131,19 @@ def _scale_exponent(M, x):
 def _finalize_scalar(L: float, M: int, x: float) -> float:
     # canonicalize to mantissa-exponent form first: iterates produced under
     # different rescale thresholds differ only by exact powers of two, so
-    # after this step the result is bitwise threshold-independent
+    # after this step the result is bitwise threshold-independent.  The sign
+    # is taken from mant: 1 + t_lo turns negative once x/2 has a tail below
+    # -1 (x of about 1e16 and up), and an underflowed zero must not follow it
     mant, e = math.frexp(L)
     t_hi, t_lo = _scale_exponent(M + e, x)
-    return mant * math.exp(t_hi) * (1.0 + t_lo)
+    return math.copysign(mant * math.exp(t_hi) * (1.0 + t_lo), mant)
 
 
 def _finalize_array(L, M, x):
     mant, e = np.frexp(L)
     t_hi, t_lo = _scale_exponent((np.asarray(M) + e).astype(float), x)
-    return mant * np.exp(t_hi) * (1.0 + t_lo)
+    out = mant * np.exp(t_hi) * (1.0 + t_lo)
+    return np.copysign(out, mant, out=out)
 
 
 def _check_x(x: float) -> float:
@@ -205,8 +207,7 @@ def eval_poly_derivative(series: LagSeries) -> np.ndarray:
     """Derivatives ``L_0'(x) .. L_n'(x)`` from a polynomial value series.
 
     Uses ``L_{k+1}' = L_k' - L_k`` (equivalently the derivative is minus
-    the partial sum of lower-degree values).  Attaches the result to
-    ``series.derivs`` and returns it.
+    the partial sum of lower-degree values).
     """
     n = series.params.n
     values = series.values
@@ -214,7 +215,6 @@ def eval_poly_derivative(series: LagSeries) -> np.ndarray:
     derivs[0] = 0.0
     for k in range(n):
         derivs[k + 1] = derivs[k] - values[k]
-    series.derivs = derivs
     return derivs
 
 

@@ -24,8 +24,6 @@ __all__ = [
     "ModelProblem",
     "SpectralSolution",
     "ErrorReport",
-    "basis_eval",
-    "basis_deriv",
     "basis_matrices",
     "assemble_system",
     "project_rhs",
@@ -96,20 +94,6 @@ def basis_matrices(N: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     psi = lhat[:-1] - lhat[1:]
     dpsi = 0.5 * (lhat[:-1] + lhat[1:])
     return psi, dpsi
-
-
-def basis_eval(n: int, y) -> np.ndarray:
-    """Single basis function ``psi_n`` at ``y``."""
-    ys = np.atleast_1d(np.asarray(y, dtype=float))
-    psi, _ = basis_matrices(n + 1, ys)
-    return psi[n] if np.ndim(y) else psi[n, 0]
-
-
-def basis_deriv(n: int, y) -> np.ndarray:
-    """Derivative of ``psi_n`` at ``y``: ``(Lhat_n + Lhat_{n+1}) / 2``."""
-    ys = np.atleast_1d(np.asarray(y, dtype=float))
-    _, dpsi = basis_matrices(n + 1, ys)
-    return dpsi[n] if np.ndim(y) else dpsi[n, 0]
 
 
 def assemble_system(N: int, gamma_eff: float) -> tuple[np.ndarray, np.ndarray]:

@@ -235,9 +235,8 @@ def test_criterion_8_error_bound_domination():
             hi = (2.25 - x) / 2.0 - 0.01
             alpha = float(rng.uniform(lo, hi))
         series = eval_poly_standard(LagParams(alpha, n_max), x)
-        env = np.array([errmodel.zeta_estimate(alpha, n, x, series=series)
-                        for n in range(1, n_max)])
-        zeta_running = np.maximum.accumulate(env)
+        zeta_running = np.maximum.accumulate(
+            errmodel.zeta_envelopes(alpha, n_max, x))
         e1 = abs(1.0 + alpha - x) * errmodel.DOUBLE_EPS
         sim = errmodel.simulate_error_propagation(alpha, n_max, x,
                                                   rng_seed=i)

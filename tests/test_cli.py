@@ -135,7 +135,7 @@ class TestErrlab:
         assert np.all(np.diff(bound) >= 0)
         e1 = abs(errmodel.simulate_error_propagation(alpha, n_max, x)[1])
         zeta_max = np.maximum.accumulate(
-            [errmodel.zeta_estimate(alpha, n, x) for n in range(1, n_max)])
+            errmodel.zeta_envelopes(alpha, n_max, x))
         expect = [errmodel.abs_error_bound(errmodel.ErrorBoundInput(
             n=n, alpha=alpha, x=x, eta=0.25, e1=e1, zeta_max=float(z)))
             for n, z in zip(range(1, n_max), zeta_max)]
@@ -158,6 +158,12 @@ class TestExitCodes:
         code = main(["quad"])  # missing required --n
         capsys.readouterr()
         assert code == USAGE_ERROR
+
+    def test_usage_error_from_unwritable_out(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        code = main(["quad", "--n", "4", "--out", str(out)])
+        assert code == USAGE_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_numeric_error_code_value(self):
         assert NUMERIC_ERROR == 3

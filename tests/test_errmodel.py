@@ -15,10 +15,9 @@ from lagspec.errmodel import (
     measure_actual_error,
     simulate_energy,
     simulate_error_propagation,
-    zeta_delta_estimate,
-    zeta_estimate,
+    zeta_envelopes,
 )
-from lagspec.recurrence import LagParams, eval_poly_modified, eval_poly_standard
+from lagspec.recurrence import LagParams, eval_poly_standard
 
 
 def _inp(**kw):
@@ -52,28 +51,23 @@ class TestInputValidation:
 
 class TestEnvelopes:
     def test_zeta_positive_and_scales_with_eps(self):
-        a = zeta_estimate(0.0, 5, 0.3)
-        b = zeta_estimate(0.0, 5, 0.3, eps=2 * DOUBLE_EPS)
-        assert a > 0
-        assert b == pytest.approx(2 * a, rel=1e-12)
+        a = zeta_envelopes(0.0, 6, 0.3)
+        b = zeta_envelopes(0.0, 6, 0.3, eps=2 * DOUBLE_EPS)
+        assert np.all(a > 0)
+        np.testing.assert_allclose(b, 2 * a, rtol=1e-12)
 
     def test_zeta_explicit_small_case(self):
         series = eval_poly_standard(LagParams(0.0, 2), 0.5)
-        got = zeta_estimate(0.0, 2, 0.5, series=series)
+        got = zeta_envelopes(0.0, 3, 0.5)[1]  # step n = 2
         v = series.values
         expect = (2 + 0.5 / 3) * abs(v[2]) * DOUBLE_EPS + abs(v[1]) * DOUBLE_EPS
         assert got == pytest.approx(expect, rel=1e-12)
 
-    def test_delta_envelope_requires_difference_form(self):
-        series = eval_poly_standard(LagParams(0.0, 5), 0.5)
-        with pytest.raises(ValueError):
-            zeta_delta_estimate(0.0, 5, 0.5, series=series)
-
     def test_delta_envelope_smaller_at_small_x(self):
         # the difference form was built to shrink the per-step perturbation
         x = 0.05
-        std = zeta_estimate(0.0, 50, x)
-        mod = zeta_delta_estimate(0.0, 50, x)
+        std = zeta_envelopes(0.0, 51, x)[49]  # step n = 50
+        mod = zeta_envelopes(0.0, 51, x, mode="delta")[49]
         assert mod < std
 
 
@@ -155,9 +149,7 @@ class TestSimulation:
     def test_simulated_error_stays_under_bound(self):
         alpha, x, n_max = 0.0, 0.1, 200
         e = simulate_error_propagation(alpha, n_max, x, rng_seed=3)
-        series = eval_poly_standard(LagParams(alpha, n_max), x)
-        env = max(zeta_estimate(alpha, n, x, series=series)
-                  for n in range(1, n_max))
+        env = float(zeta_envelopes(alpha, n_max, x).max())
         for n in (10, 50, 199):
             bound = abs_error_bound(ErrorBoundInput(
                 n=n, alpha=alpha, x=x, eta=0.25, e1=abs(e[1]), zeta_max=env))

@@ -8,13 +8,10 @@ from scipy.special import eval_genlaguerre, roots_laguerre
 
 from lagspec.oracle import (
     HpContext,
-    cache_path,
     hp_eval_fun,
     hp_eval_poly,
     hp_gauss_nodes,
     hp_poly_series,
-    load_nodes_cache,
-    save_nodes_cache,
 )
 
 
@@ -62,23 +59,3 @@ class TestNodes:
         assert all(isinstance(v, str) for v in vals)
         assert len(vals) == 4
 
-
-class TestCache:
-    def test_round_trip(self, hp_ctx, tmp_path):
-        vals = hp_gauss_nodes(hp_ctx, 0.0, 4)
-        path = save_nodes_cache(hp_ctx, 0.0, 4, vals, directory=tmp_path)
-        assert path.is_file()
-        back = load_nodes_cache(0.0, 4, digits=hp_ctx.digits, directory=tmp_path)
-        assert back == vals
-
-    def test_missing_returns_none(self, tmp_path):
-        assert load_nodes_cache(0.0, 99, directory=tmp_path) is None
-
-    def test_malformed_header_returns_none(self, tmp_path):
-        p = cache_path(0.0, 7, "gauss", 24, directory=tmp_path)
-        p.write_text("not,a,real,header,row\n1,2,3,4,5\n")
-        assert load_nodes_cache(0.0, 7, directory=tmp_path) is None
-
-    def test_env_var_controls_default_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LAGSPEC_ORACLE_CACHE", str(tmp_path))
-        assert cache_path(0.0, 3, "gauss", 24).parent == tmp_path

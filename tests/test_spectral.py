@@ -11,8 +11,6 @@ from lagspec.spectral import (
     ErrorReport,
     ModelProblem,
     assemble_system,
-    basis_deriv,
-    basis_eval,
     basis_matrices,
     beta_sweep,
     error_norms,
@@ -51,17 +49,20 @@ def _quadrature_mass_stiffness(N):
 
 class TestBasis:
     def test_origin_value_zero(self):
-        assert basis_eval(0, 0.0) == pytest.approx(0.0, abs=1e-15)
-        assert basis_eval(5, 0.0) == pytest.approx(0.0, abs=1e-13)
+        psi, _ = basis_matrices(6, np.array([0.0]))
+        assert psi[0, 0] == pytest.approx(0.0, abs=1e-15)
+        assert psi[5, 0] == pytest.approx(0.0, abs=1e-13)
 
     def test_psi0_at_one(self):
         # L_0(1) = 1, L_1(1) = 0, so psi_0(1) = e^{-1/2}
-        assert basis_eval(0, 1.0) == pytest.approx(math.exp(-0.5), rel=1e-13)
+        psi, _ = basis_matrices(1, np.array([1.0]))
+        assert psi[0, 0] == pytest.approx(math.exp(-0.5), rel=1e-13)
 
     def test_deriv_finite_difference(self):
         y, h = 2.7, 1e-6
-        fd = (basis_eval(3, y + h) - basis_eval(3, y - h)) / (2 * h)
-        assert basis_deriv(3, y) == pytest.approx(fd, abs=1e-8)
+        psi, dpsi = basis_matrices(4, np.array([y + h, y - h, y]))
+        fd = (psi[3, 0] - psi[3, 1]) / (2 * h)
+        assert dpsi[3, 2] == pytest.approx(fd, abs=1e-8)
 
     def test_matrices_shapes(self):
         y = np.linspace(0.1, 8.0, 5)
