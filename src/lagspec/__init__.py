@@ -17,7 +17,6 @@ from .recurrence import (
 )
 from .quadrature import (
     GaussRule,
-    NewtonConfig,
     RuleKind,
     nodes_eigen_seed,
     refine_newton,
@@ -25,7 +24,7 @@ from .quadrature import (
     gauss_radau_rule,
     cached_gauss_rule,
 )
-from .oracle import HpContext, hp_eval_poly, hp_eval_fun, hp_gauss_nodes
+from .oracle import HpContext, hp_eval, hp_gauss_nodes
 from .errmodel import (
     ErrorBoundInput,
     ErrorBoundResult,

@@ -17,6 +17,7 @@ for doubles).  Exit codes: 0 success, 2 usage error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -34,15 +35,18 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _out(path):
+    """``--out`` as a text stream: stdout for none or "-", else the file."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as fh:
+            yield fh
 
 
 def _write_rows(args, header, rows):
-    fh, close = _open_out(args.out)
-    try:
+    with _out(args.out) as fh:
         if args.format == "json":
             json.dump([dict(zip(header, r)) for r in rows], fh, indent=2)
             fh.write("\n")
@@ -50,9 +54,6 @@ def _write_rows(args, header, rows):
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
-    finally:
-        if close:
-            fh.close()
 
 
 def cmd_quad(args) -> int:
@@ -91,8 +92,8 @@ def cmd_compare(args) -> int:
     rows = []
     with mp.workdps(ctx.digits):
         for j, xj in enumerate(rule.nodes):
-            ref_fun = mp.mpf(oracle.hp_eval_fun(ctx, alpha, N - 1, float(xj)))
-            ref_poly = mp.mpf(oracle.hp_eval_poly(ctx, alpha, N - 1, float(xj)))
+            ref_poly, ref_fun = map(
+                mp.mpf, oracle.hp_eval(ctx, alpha, N - 1, float(xj)))
 
             def rel(v, ref):
                 if not np.isfinite(v):
@@ -140,13 +141,9 @@ def cmd_sweep(args) -> int:
                 best[c["N"]] = c
         payload = {"cells": cells,
                    "argmin_beta": {str(n): c["beta"] for n, c in best.items()}}
-        fh, close = _open_out(args.out)
-        try:
+        with _out(args.out) as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-        finally:
-            if close:
-                fh.close()
     else:
         rows = [(c["N"], _fmt(c["beta"]),
                  "" if c["l2_error"] is None else _fmt(c["l2_error"]),
@@ -164,16 +161,15 @@ def cmd_errlab(args) -> int:
     # the bound at degree n assumes the largest perturbation of steps 1..n
     zeta_max = np.maximum.accumulate(
         errmodel.zeta_envelopes(args.alpha, n_max, args.x))
-    rows = []
-    for n in range(1, n_max):
-        inp = errmodel.ErrorBoundInput(
-            n=n, alpha=args.alpha, x=args.x, eta=args.eta,
-            e1=abs(traj[1]), zeta_max=float(zeta_max[n - 1]))
-        bound = errmodel.abs_error_bound(inp)
-        measured = errmodel.measure_actual_error(args.alpha, n, args.x,
-                                                 mode=args.mode) \
-            if args.measure else float("nan")
-        rows.append((n, _fmt(measured), _fmt(abs(traj[n + 1])), _fmt(bound)))
+    bounds = [errmodel.abs_error_bound(errmodel.ErrorBoundInput(
+        n=n, alpha=args.alpha, x=args.x, eta=args.eta, e1=abs(traj[1]),
+        zeta_max=float(zeta_max[n - 1]))) for n in range(1, n_max)]
+    # one oracle series for every degree; entry n-1 is degree n
+    measured = (errmodel.measure_actual_error(args.alpha, n_max, args.x,
+                                              mode=args.mode)
+                if args.measure else np.full(n_max - 1, np.nan))
+    rows = [(n, _fmt(measured[n - 1]), _fmt(abs(traj[n + 1])),
+             _fmt(bounds[n - 1])) for n in range(1, n_max)]
     _write_rows(args, ["n", "measured_err", "simulated_err", "theory_bound"],
                 rows)
     return 0

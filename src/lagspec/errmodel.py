@@ -225,19 +225,22 @@ def simulate_energy(alpha: float, x: float, e: np.ndarray) -> np.ndarray:
     return x * e[1:] ** 2 + (n + alpha) * np.diff(e) ** 2
 
 
-def measure_actual_error(alpha: float, n: int, x: float,
-                         mode: str = "standard",
-                         ctx: HpContext | None = None) -> float:
-    """Relative error of a double-precision recurrence value vs the oracle."""
-    if ctx is None:
-        ctx = HpContext()
-    params = LagParams(alpha=alpha, n=n)
+def measure_actual_error(alpha: float, n_max: int, x: float,
+                         mode: str = "standard") -> np.ndarray:
+    """Relative errors of the double-precision values of degrees
+    ``1 .. n_max-1`` against the oracle, entry ``n-1`` for degree n.
+
+    One double series in ``mode`` and one 24-digit mpf series of degree
+    ``n_max`` supply every degree.
+    """
+    params = LagParams(alpha=alpha, n=n_max)
     if mode == "standard":
-        val = eval_poly_standard(params, x).values[n]
+        vals = eval_poly_standard(params, x).values
     elif mode == "delta":
-        val = eval_poly_modified(params, x).values[n]
+        vals = eval_poly_modified(params, x).values
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    with mp.workdps(ctx.digits):
-        ref = _poly_series_mpf(mp.mpf(alpha), n, mp.mpf(x))[n]
-        return float(abs((mp.mpf(float(val)) - ref) / ref))
+    with mp.workdps(HpContext().digits):
+        refs = _poly_series_mpf(mp.mpf(alpha), n_max, mp.mpf(x))
+        return np.array([float(abs((mp.mpf(float(v)) - r) / r))
+                         for v, r in zip(vals[1:n_max], refs[1:n_max])])

@@ -2,8 +2,13 @@
 
 Everything here runs through mpmath at a configurable decimal precision
 (24 digits by default, matching the double-precision test regime with a
-comfortable margin).  Results cross module boundaries as decimal strings so
-the double-precision API stays free of extended-precision types.
+comfortable margin).  Float inputs are taken bit-exactly (``mp.mpf`` of a
+double is exact); strings are parsed at the working precision.
+
+``hp_eval``, ``hp_poly_series`` and ``hp_gauss_nodes`` return decimal
+strings, so the double-precision API stays free of extended-precision
+types; ``hp_gauss_nodes_mpf`` and the private ``_poly_series_mpf`` return
+mpf values for callers that keep computing in mpmath.
 """
 
 from __future__ import annotations
@@ -16,8 +21,7 @@ from .quadrature import nodes_eigen_seed
 
 __all__ = [
     "HpContext",
-    "hp_eval_poly",
-    "hp_eval_fun",
+    "hp_eval",
     "hp_gauss_nodes",
     "hp_poly_series",
     "hp_gauss_nodes_mpf",
@@ -46,31 +50,20 @@ def _poly_series_mpf(alpha, n: int, x):
     return values
 
 
-def _to_mpf(v):
-    # float input is taken bit-exactly; strings are parsed at current dps
-    return mp.mpf(v)
-
-
-def hp_eval_poly(ctx: HpContext, alpha, n: int, x) -> str:
-    """Degree-n polynomial value at ``x`` as a decimal string."""
+def hp_eval(ctx: HpContext, alpha, n: int, x) -> tuple[str, str]:
+    """Degree-n polynomial ``L_n(x)`` and function ``exp(-x/2) L_n(x)``
+    as decimal strings, both from one series."""
     with mp.workdps(ctx.digits):
-        a, xx = _to_mpf(alpha), _to_mpf(x)
-        val = _poly_series_mpf(a, n, xx)[n]
-        return mp.nstr(val, ctx.digits)
-
-
-def hp_eval_fun(ctx: HpContext, alpha, n: int, x) -> str:
-    """Degree-n Laguerre function value ``exp(-x/2) L_n(x)``."""
-    with mp.workdps(ctx.digits):
-        a, xx = _to_mpf(alpha), _to_mpf(x)
-        val = mp.e ** (-xx / 2) * _poly_series_mpf(a, n, xx)[n]
-        return mp.nstr(val, ctx.digits)
+        xx = mp.mpf(x)
+        val = _poly_series_mpf(mp.mpf(alpha), n, xx)[n]
+        return (mp.nstr(val, ctx.digits),
+                mp.nstr(mp.e ** (-xx / 2) * val, ctx.digits))
 
 
 def hp_poly_series(ctx: HpContext, alpha, n: int, x) -> list[str]:
     """Full polynomial series ``L_0(x) .. L_n(x)`` as decimal strings."""
     with mp.workdps(ctx.digits):
-        a, xx = _to_mpf(alpha), _to_mpf(x)
+        a, xx = mp.mpf(alpha), mp.mpf(x)
         return [mp.nstr(v, ctx.digits) for v in _poly_series_mpf(a, n, xx)]
 
 
@@ -84,7 +77,7 @@ def hp_gauss_nodes_mpf(ctx: HpContext, alpha, N: int):
     """
     seeds = nodes_eigen_seed(float(alpha), N)
     with mp.workdps(ctx.digits + 10):
-        a = _to_mpf(alpha)
+        a = mp.mpf(alpha)
         tol = mp.mpf(10) ** (2 - ctx.digits)
         out = []
         for j, seed in enumerate(seeds):

@@ -14,7 +14,6 @@ and the lifting is added back at evaluation time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 

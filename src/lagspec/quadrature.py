@@ -24,7 +24,6 @@ from .recurrence import LagParams, fun_value_deriv_stable
 __all__ = [
     "RuleKind",
     "GaussRule",
-    "NewtonConfig",
     "nodes_eigen_seed",
     "refine_newton",
     "gauss_rule",
@@ -33,6 +32,10 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+# Newton polish stops after this many iterations, or once every node's
+# step is at most this multiple of the node
+_NEWTON_MAX_ITERS = 10
+_NEWTON_REL_STEP_TOL = 4.0 * _EPS
 
 
 class RuleKind(str, Enum):
@@ -75,20 +78,6 @@ class GaussRule:
         return self.nodes.size
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Stopping rule for the node refinement."""
-
-    max_iters: int = 10
-    rel_step_tol: float = 4.0 * _EPS
-
-    def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not 0.0 < self.rel_step_tol < 1e-8:
-            raise ValueError("rel_step_tol must lie in (0, 1e-8)")
-
-
 def nodes_eigen_seed(alpha: float, N: int) -> np.ndarray:
     """Eigenvalue approximations to the zeros of the degree-(N+1) polynomial.
 
@@ -113,8 +102,7 @@ def nodes_eigen_seed(alpha: float, N: int) -> np.ndarray:
     return ev
 
 
-def refine_newton(alpha: float, N: int, seeds: np.ndarray,
-                  cfg: NewtonConfig | None = None) -> np.ndarray:
+def refine_newton(alpha: float, N: int, seeds: np.ndarray) -> np.ndarray:
     """Newton-polish the zeros of the degree-(N+1) polynomial.
 
     Each node is updated by ``x <- x - L_{N+1}(x) / L_{N+1}'(x)`` with the
@@ -123,8 +111,6 @@ def refine_newton(alpha: float, N: int, seeds: np.ndarray,
     its neighbouring seed midpoints is reset to its seed and reported via a
     warning.
     """
-    if cfg is None:
-        cfg = NewtonConfig()
     seeds = np.asarray(seeds, dtype=float)
     if np.any(seeds <= 0) or np.any(np.diff(seeds) <= 0):
         raise ValueError("seeds must be positive and strictly increasing")
@@ -137,12 +123,12 @@ def refine_newton(alpha: float, N: int, seeds: np.ndarray,
 
     params = LagParams(alpha=alpha, n=N + 1)
     x = seeds.copy()
-    for _ in range(cfg.max_iters):
+    for _ in range(_NEWTON_MAX_ITERS):
         val, der = fun_value_deriv_stable(params, x)
         # L / L' = Lhat / (Lhat' + Lhat / 2): the exp(-x/2) scale cancels
         step = val / (der + 0.5 * val)
         x_new = x - step
-        if np.all(np.abs(step) <= cfg.rel_step_tol * x):
+        if np.all(np.abs(step) <= _NEWTON_REL_STEP_TOL * x):
             x = x_new
             break
         x = x_new

@@ -207,24 +207,22 @@ def optimal_beta_exponential(z_re: float, z_im: float = 0.0) -> float:
 
 
 def beta_sweep(problem: ModelProblem, N_list: Sequence[int],
-               beta_list: Sequence[float],
-               M_rule: Callable[[int], int] | None = None) -> list[dict]:
-    """Solve/measure over a (beta, N) grid; beta outer, N inner.
+               beta_list: Sequence[float]) -> list[dict]:
+    """Solve/measure over a (beta, N) grid with M = 2N quadrature points;
+    beta outer, N inner.
 
     Per-cell failures are recorded in the ``error`` field and the sweep
     continues.
     """
     if not N_list or not beta_list:
         raise ValueError("N_list and beta_list must be nonempty")
-    if M_rule is None:
-        M_rule = lambda n: 2 * n
     out = []
     for beta in beta_list:
         for N in N_list:
             cell = {"N": N, "beta": beta, "l2_error": None,
                     "h1_error": None, "error": None}
             try:
-                sol = solve(problem, N, M_rule(N), beta)
+                sol = solve(problem, N, 2 * N, beta)
                 rep = error_norms(sol, problem)
                 cell["l2_error"] = rep.l2_error
                 cell["h1_error"] = rep.h1_semi_error

@@ -14,7 +14,7 @@ import pytest
 from mpmath import mp
 
 from lagspec import errmodel
-from lagspec.oracle import HpContext, _poly_series_mpf, hp_eval_poly
+from lagspec.oracle import _poly_series_mpf, hp_eval
 from lagspec.problems import make_case
 from lagspec.quadrature import (
     cached_gauss_rule,
@@ -133,7 +133,7 @@ def test_criterion_4_round_off_improvement(hp_ctx):
     gains = []
     with mp.workdps(hp_ctx.digits):
         for x in rule.nodes[:10]:
-            ref = mp.mpf(hp_eval_poly(hp_ctx, 0.0, 99, float(x)))
+            ref = mp.mpf(hp_eval(hp_ctx, 0.0, 99, float(x))[0])
             std = eval_poly_standard(params, float(x)).values[-1]
             mod = eval_poly_modified(params, float(x)).values[-1]
             err_std = float(abs((mp.mpf(float(std)) - ref) / ref))

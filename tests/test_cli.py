@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from lagspec import errmodel
+from lagspec import errmodel, oracle
 from lagspec.cli import NUMERIC_ERROR, USAGE_ERROR, main
 
 
@@ -20,6 +20,22 @@ def _run(capsys, *argv):
 
 def _rows(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+@pytest.fixture
+def mp_series_calls(monkeypatch):
+    """Degrees of the extended-precision series run while the test runs."""
+    original = oracle._poly_series_mpf
+    degrees = []
+
+    def counted(alpha, n, x):
+        degrees.append(n)
+        return original(alpha, n, x)
+
+    # errmodel binds the name at import, so both lookups are counted
+    for module in (oracle, errmodel):
+        monkeypatch.setattr(module, "_poly_series_mpf", counted)
+    return degrees
 
 
 class TestQuad:
@@ -89,6 +105,12 @@ class TestCompare:
                         "rel_err_stable"):
                 assert float(row[col]) <= 1e-14
 
+    def test_one_oracle_series_per_node(self, capsys, mp_series_calls):
+        code, out = _run(capsys, "compare", "--n", "8")
+        assert code == 0
+        assert len(_rows(out)) == 8
+        assert mp_series_calls == [7] * 8
+
 
 class TestSolveAndSweep:
     def test_solve_u1(self, capsys):
@@ -146,6 +168,13 @@ class TestErrlab:
                          "--measure")
         assert code == 0
         assert all(math.isfinite(float(r["measured_err"])) for r in _rows(out))
+
+    def test_measure_runs_one_oracle_series(self, capsys, mp_series_calls):
+        code, out = _run(capsys, "errlab", "--x", "0.1", "--n", "30",
+                         "--measure")
+        assert code == 0
+        assert len(_rows(out)) == 29
+        assert len(mp_series_calls) == 1
 
 
 class TestExitCodes:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from lagspec.errmodel import (
     DOUBLE_EPS,
@@ -17,7 +18,8 @@ from lagspec.errmodel import (
     simulate_error_propagation,
     zeta_envelopes,
 )
-from lagspec.recurrence import LagParams, eval_poly_standard
+from lagspec.oracle import _poly_series_mpf
+from lagspec.recurrence import LagParams, eval_poly_modified, eval_poly_standard
 
 
 def _inp(**kw):
@@ -158,16 +160,34 @@ class TestSimulation:
 
 class TestMeasured:
     def test_small_degree_error_tiny(self):
-        assert measure_actual_error(0.0, 5, 0.3) < 1e-14
+        # entry n-1 is degree n
+        assert measure_actual_error(0.0, 6, 0.3)[4] < 1e-14
 
     def test_delta_mode_beats_standard_at_small_x(self):
         # averaged over a few degrees; the improvement is the module's point
-        x = 0.01
-        std = np.mean([measure_actual_error(0.0, n, x) for n in (80, 90, 100)])
-        mod = np.mean([measure_actual_error(0.0, n, x, mode="delta")
-                       for n in (80, 90, 100)])
+        x, degrees = 0.01, [80, 90, 100]
+        idx = np.array(degrees) - 1
+        std = np.mean(measure_actual_error(0.0, 101, x)[idx])
+        mod = np.mean(measure_actual_error(0.0, 101, x, mode="delta")[idx])
         assert mod < std
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             measure_actual_error(0.0, 5, 0.3, mode="bogus")
+
+    @pytest.mark.parametrize("mode", ["standard", "delta"])
+    @pytest.mark.parametrize("x", [0.05, 0.2])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_series_entry_equals_single_degree(self, alpha, x, mode):
+        # slicing one series of degree 100 gives, bitwise, the error of
+        # a degree-n double series against a degree-n 24-digit series
+        errs = measure_actual_error(alpha, 100, x, mode)
+        assert errs.shape == (99,)
+        evaluate = (eval_poly_standard if mode == "standard"
+                    else eval_poly_modified)
+        with mp.workdps(24):
+            for n in (1, 7, 99):
+                val = evaluate(LagParams(alpha=alpha, n=n), x).values[n]
+                ref = _poly_series_mpf(mp.mpf(alpha), n, mp.mpf(x))[n]
+                expect = float(abs((mp.mpf(float(val)) - ref) / ref))
+                assert errs[n - 1] == expect

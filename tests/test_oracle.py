@@ -8,8 +8,7 @@ from scipy.special import eval_genlaguerre, roots_laguerre
 
 from lagspec.oracle import (
     HpContext,
-    hp_eval_fun,
-    hp_eval_poly,
+    hp_eval,
     hp_gauss_nodes,
     hp_poly_series,
 )
@@ -26,25 +25,24 @@ class TestContext:
 
 class TestValues:
     def test_poly_matches_scipy(self, hp_ctx):
-        got = float(hp_eval_poly(hp_ctx, 0.5, 12, 3.25))
+        got = float(hp_eval(hp_ctx, 0.5, 12, 3.25)[0])
         assert got == pytest.approx(eval_genlaguerre(12, 0.5, 3.25), rel=1e-12)
 
     def test_fun_is_weighted_poly(self, hp_ctx):
         x = 7.5
-        p = float(hp_eval_poly(hp_ctx, 0.0, 9, x))
-        f = float(hp_eval_fun(hp_ctx, 0.0, 9, x))
+        p, f = map(float, hp_eval(hp_ctx, 0.0, 9, x))
         assert f == pytest.approx(p * math.exp(-x / 2.0), rel=1e-12)
 
     def test_series_consistent_with_single_values(self, hp_ctx):
         series = hp_poly_series(hp_ctx, 1.0, 6, 2.0)
         assert len(series) == 7
         assert float(series[6]) == pytest.approx(
-            float(hp_eval_poly(hp_ctx, 1.0, 6, 2.0)), rel=1e-20)
+            float(hp_eval(hp_ctx, 1.0, 6, 2.0)[0]), rel=1e-20)
 
     def test_float_inputs_taken_bit_exactly(self, hp_ctx):
         # 0.1 the double, not the decimal: both entry points must agree
-        a = hp_eval_poly(hp_ctx, 0.0, 5, 0.1)
-        b = hp_eval_poly(hp_ctx, 0.0, 5, float(np.float64(0.1)))
+        a = hp_eval(hp_ctx, 0.0, 5, 0.1)
+        b = hp_eval(hp_ctx, 0.0, 5, float(np.float64(0.1)))
         assert a == b
 
 

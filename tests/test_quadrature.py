@@ -8,7 +8,6 @@ from scipy.special import roots_genlaguerre, roots_laguerre
 
 from lagspec.quadrature import (
     GaussRule,
-    NewtonConfig,
     RuleKind,
     cached_gauss_rule,
     gauss_radau_rule,
@@ -45,12 +44,6 @@ class TestNewton:
         refined = refine_newton(0.0, 19, seeds)
         ref, _ = roots_laguerre(20)
         np.testing.assert_allclose(refined, ref, rtol=5e-15)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            NewtonConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            NewtonConfig(rel_step_tol=1e-7)
 
     def test_bad_seeds_rejected(self):
         with pytest.raises(ValueError):
