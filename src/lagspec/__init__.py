@@ -24,7 +24,7 @@ from .quadrature import (
     gauss_radau_rule,
     cached_gauss_rule,
 )
-from .oracle import HpContext, hp_eval, hp_gauss_nodes
+from .oracle import HpContext, hp_eval
 from .errmodel import (
     ErrorBoundInput,
     ErrorBoundResult,

@@ -5,10 +5,10 @@ Everything here runs through mpmath at a configurable decimal precision
 comfortable margin).  Float inputs are taken bit-exactly (``mp.mpf`` of a
 double is exact); strings are parsed at the working precision.
 
-``hp_eval``, ``hp_poly_series`` and ``hp_gauss_nodes`` return decimal
-strings, so the double-precision API stays free of extended-precision
-types; ``hp_gauss_nodes_mpf`` and the private ``_poly_series_mpf`` return
-mpf values for callers that keep computing in mpmath.
+``hp_eval`` returns decimal strings, so the double-precision API stays
+free of extended-precision types; ``hp_gauss_nodes_mpf`` and the private
+``_poly_series_mpf`` return mpf values for callers that keep computing in
+mpmath.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .quadrature import nodes_eigen_seed
 __all__ = [
     "HpContext",
     "hp_eval",
-    "hp_gauss_nodes",
-    "hp_poly_series",
     "hp_gauss_nodes_mpf",
 ]
 
@@ -60,13 +58,6 @@ def hp_eval(ctx: HpContext, alpha, n: int, x) -> tuple[str, str]:
                 mp.nstr(mp.e ** (-xx / 2) * val, ctx.digits))
 
 
-def hp_poly_series(ctx: HpContext, alpha, n: int, x) -> list[str]:
-    """Full polynomial series ``L_0(x) .. L_n(x)`` as decimal strings."""
-    with mp.workdps(ctx.digits):
-        a, xx = mp.mpf(alpha), mp.mpf(x)
-        return [mp.nstr(v, ctx.digits) for v in _poly_series_mpf(a, n, xx)]
-
-
 def hp_gauss_nodes_mpf(ctx: HpContext, alpha, N: int):
     """Reference Gauss nodes as mpf values (ascending).
 
@@ -94,10 +85,4 @@ def hp_gauss_nodes_mpf(ctx: HpContext, alpha, N: int):
                     f"reference Newton did not converge at node {j}")
             out.append(x)
         return out
-
-
-def hp_gauss_nodes(ctx: HpContext, alpha, N: int) -> list[str]:
-    """Reference Gauss nodes as decimal strings."""
-    with mp.workdps(ctx.digits):
-        return [mp.nstr(x, ctx.digits) for x in hp_gauss_nodes_mpf(ctx, alpha, N)]
 

@@ -110,6 +110,7 @@ _LN2_LO = 1.90821492927058770002e-10
 
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
 _CHECK_MARGIN = 32.0  # nats of slack in the array kernel's check interval
+_FINALIZE_ROWS = 16  # rows per block when finalizing a stored series
 
 
 def _scale_exponent(M, x):
@@ -369,8 +370,12 @@ def fun_series_stable(params: LagParams, x, cfg: StableEvalConfig | None = None
     if params.n >= 1:
         _rescaled_recurrence(params.alpha, params.n, xs,
                              cfg or _DEFAULT_STABLE_CFG, (stored, halvings))
-    values = _finalize_array(stored, halvings, xs[None, :])
-    return values[:, 0] if np.ndim(x) == 0 else values
+    # finalized in place a few rows at a time: the finalizer's temporaries
+    # stay block-sized instead of one full-size array each
+    for i in range(0, params.n + 1, _FINALIZE_ROWS):
+        rows = slice(i, i + _FINALIZE_ROWS)
+        stored[rows] = _finalize_array(stored[rows], halvings[rows], xs)
+    return stored[:, 0] if np.ndim(x) == 0 else stored
 
 
 def fun_value_deriv_stable(params: LagParams, x,

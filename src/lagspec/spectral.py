@@ -6,6 +6,14 @@ origin), applied in a scaled variable ``y = beta x``.  Stiffness and mass
 matrices are tridiagonal with closed-form entries, so one solve costs
 O(N); right-hand sides and error norms are evaluated by Gauss quadrature
 in the scaled variable using function-form weights.
+
+The basis lives in ``y``, so it does not depend on beta.  A solve is split
+into a plan, built once per ``(N, M)``, that holds psi at the nodes of the
+(M+1)-point rule of the load vector and psi, dpsi at the nodes of the
+(2M+3)-point rule of the error norms; and an apply step, run per beta, that
+samples ``f(y/beta)``, projects it with one matrix-vector product, solves
+the tridiagonal system and takes the norms from the plan's matrices.
+``beta_sweep`` builds one plan per N and applies it to every beta.
 """
 
 from __future__ import annotations
@@ -60,16 +68,16 @@ class SpectralSolution:
 
     def evaluate(self, x) -> np.ndarray:
         """Value of the numerical solution at ``x`` (scalar or array)."""
-        y = self.beta * np.atleast_1d(np.asarray(x, dtype=float))
-        psi, _ = basis_matrices(self.N, y)
-        out = self.coeffs @ psi
-        return out if np.ndim(x) else out[0]
+        return self._at(x, deriv=False)
 
     def evaluate_deriv(self, x) -> np.ndarray:
         """d/dx of the numerical solution (chain rule brings in beta)."""
+        return self._at(x, deriv=True)
+
+    def _at(self, x, deriv: bool) -> np.ndarray:
         y = self.beta * np.atleast_1d(np.asarray(x, dtype=float))
-        _, dpsi = basis_matrices(self.N, y)
-        out = self.beta * (self.coeffs @ dpsi)
+        psi, dpsi = basis_matrices(self.N, y)
+        out = self.beta * (self.coeffs @ dpsi) if deriv else self.coeffs @ psi
         return out if np.ndim(x) else out[0]
 
 
@@ -112,6 +120,68 @@ def assemble_system(N: int, gamma_eff: float) -> tuple[np.ndarray, np.ndarray]:
     return diag, off
 
 
+@dataclass(frozen=True)
+class _RuleBasis:
+    """psi (and, for the norms, dpsi) at the nodes ``y`` of one Gauss rule,
+    with its function-form weights ``w``."""
+
+    y: np.ndarray
+    w: np.ndarray
+    psi: np.ndarray
+    dpsi: np.ndarray | None
+
+
+def _rule_basis(N: int, K: int, deriv: bool = True) -> _RuleBasis:
+    rule = cached_gauss_rule(0.0, K)
+    psi, dpsi = basis_matrices(N, rule.nodes)
+    return _RuleBasis(rule.nodes, rule.fun_weights, psi,
+                      dpsi if deriv else None)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The beta-independent half of a solve with N basis functions and
+    M-point load quadrature; ``norms`` is ``None`` when only solving."""
+
+    N: int
+    M: int
+    rhs: _RuleBasis
+    norms: _RuleBasis | None
+
+
+def _plan(N: int, M: int, norms: bool = True) -> _Plan:
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if M < N + 1:
+        raise ValueError("quadrature order M must be >= N + 1")
+    return _Plan(N, M, _rule_basis(N, M, deriv=False),
+                 _rule_basis(N, 2 * M + 2) if norms else None)
+
+
+def _load(rb: _RuleBasis, problem: ModelProblem, beta: float) -> np.ndarray:
+    g = np.asarray(problem.f(rb.y / beta), dtype=float)
+    if not np.all(np.isfinite(g)):
+        j = int(np.flatnonzero(~np.isfinite(g))[0])
+        raise ArithmeticError(
+            f"right-hand side non-finite at node x = {rb.y[j] / beta}")
+    return rb.psi @ (g * rb.w) / beta ** 2
+
+
+def _apply(plan: _Plan, problem: ModelProblem, beta: float
+           ) -> SpectralSolution:
+    N = plan.N
+    diag, off = assemble_system(N, problem.gamma / beta ** 2)
+    b = _load(plan.rhs, problem, beta)
+    ab = np.zeros((2, N))
+    ab[0, 1:] = off
+    ab[1] = diag
+    coeffs = solveh_banded(ab, b)
+    if not np.all(np.isfinite(coeffs)):
+        raise ArithmeticError("Galerkin solve produced non-finite coefficients")
+    return SpectralSolution(N=N, M=plan.M, beta=beta, coeffs=coeffs,
+                            problem=problem)
+
+
 def project_rhs(problem: ModelProblem, N: int, M: int, beta: float
                 ) -> np.ndarray:
     """Load vector ``b[n] = (g/beta^2, psi_n)`` by (M+1)-point quadrature.
@@ -120,17 +190,7 @@ def project_rhs(problem: ModelProblem, N: int, M: int, beta: float
     variable; with function-form weights this equals the inner product of
     the degree-M interpolant exactly.
     """
-    if M < N + 1:
-        raise ValueError("quadrature order M must be >= N + 1")
-    rule = cached_gauss_rule(0.0, M)
-    y = rule.nodes
-    g = np.asarray(problem.f(y / beta), dtype=float)
-    if not np.all(np.isfinite(g)):
-        j = int(np.flatnonzero(~np.isfinite(g))[0])
-        raise ArithmeticError(
-            f"right-hand side non-finite at node x = {y[j] / beta}")
-    psi, _ = basis_matrices(N, y)
-    return psi @ (g * rule.fun_weights) / beta ** 2
+    return _load(_plan(N, M, norms=False).rhs, problem, beta)
 
 
 def solve(problem: ModelProblem, N: int, M: int | None = None,
@@ -143,28 +203,17 @@ def solve(problem: ModelProblem, N: int, M: int | None = None,
     """
     if M is None:
         M = 2 * N
-    gamma_eff = problem.gamma / beta ** 2
-    diag, off = assemble_system(N, gamma_eff)
-    b = project_rhs(problem, N, M, beta)
-    ab = np.zeros((2, N))
-    ab[0, 1:] = off
-    ab[1] = diag
-    coeffs = solveh_banded(ab, b)
-    if not np.all(np.isfinite(coeffs)):
-        raise ArithmeticError("Galerkin solve produced non-finite coefficients")
-    return SpectralSolution(N=N, M=M, beta=beta, coeffs=coeffs,
-                            problem=problem)
+    return _apply(_plan(N, M, norms=False), problem, beta)
 
 
-def _norms_at_order(sol: SpectralSolution, problem: ModelProblem, K: int
-                    ) -> tuple[float, float]:
-    rule = cached_gauss_rule(0.0, K)
-    y = rule.nodes
-    w = rule.fun_weights
+def _norms_at_order(sol: SpectralSolution, problem: ModelProblem,
+                    rb: _RuleBasis) -> tuple[float, float]:
+    if problem.u_exact is None:
+        raise ValueError("problem has no exact solution to compare against")
+    y, w = rb.y, rb.w
     beta = sol.beta
-    psi, dpsi = basis_matrices(sol.N, y)
-    v_num = sol.coeffs @ psi
-    dv_num = sol.coeffs @ dpsi
+    v_num = sol.coeffs @ rb.psi
+    dv_num = sol.coeffs @ rb.dpsi
     v_ex = np.asarray(problem.u_exact(y / beta), dtype=float)
     l2_y = math.sqrt(float(np.sum((v_ex - v_num) ** 2 * w)))
     if problem.u_exact_prime is not None:
@@ -186,12 +235,11 @@ def error_norms(sol: SpectralSolution, problem: ModelProblem | None = None,
     """
     if problem is None:
         problem = sol.problem
-    if problem.u_exact is None:
-        raise ValueError("problem has no exact solution to compare against")
-    l2, h1 = _norms_at_order(sol, problem, 2 * sol.M + 2)
+    l2, h1 = _norms_at_order(sol, problem,
+                             _rule_basis(sol.N, 2 * sol.M + 2))
     quad_est = None
     if check_quadrature:
-        l2b, _ = _norms_at_order(sol, problem, 4 * sol.M)
+        l2b, _ = _norms_at_order(sol, problem, _rule_basis(sol.N, 4 * sol.M))
         quad_est = abs(l2b - l2)
     return ErrorReport(l2_error=l2, h1_semi_error=h1, N=sol.N, beta=sol.beta,
                        quad_error_estimate=quad_est)
@@ -206,27 +254,39 @@ def optimal_beta_exponential(z_re: float, z_im: float = 0.0) -> float:
     return 2.0 * math.hypot(z_re, z_im)
 
 
+def _sweep_cells(problem: ModelProblem, N: int, beta_list: Sequence[float]
+                 ) -> list[dict]:
+    # one plan for every beta, freed on return so only one is ever alive
+    try:
+        plan = _plan(N, 2 * N)
+    except Exception as exc:
+        return [{"l2_error": None, "h1_error": None, "error": str(exc)}
+                for _ in beta_list]
+    cells = []
+    for beta in beta_list:
+        cell = {"l2_error": None, "h1_error": None, "error": None}
+        try:
+            sol = _apply(plan, problem, beta)
+            cell["l2_error"], cell["h1_error"] = _norms_at_order(
+                sol, problem, plan.norms)
+        except Exception as exc:
+            cell["error"] = str(exc)
+        cells.append(cell)
+    return cells
+
+
 def beta_sweep(problem: ModelProblem, N_list: Sequence[int],
                beta_list: Sequence[float]) -> list[dict]:
     """Solve/measure over a (beta, N) grid with M = 2N quadrature points;
     beta outer, N inner.
 
-    Per-cell failures are recorded in the ``error`` field and the sweep
-    continues.
+    Each distinct N builds its plan once and applies it to every beta.  A
+    failure is recorded in the ``error`` field of the cells it affects
+    (every cell of its N if the plan fails) and the sweep continues.
     """
     if not N_list or not beta_list:
         raise ValueError("N_list and beta_list must be nonempty")
-    out = []
-    for beta in beta_list:
-        for N in N_list:
-            cell = {"N": N, "beta": beta, "l2_error": None,
-                    "h1_error": None, "error": None}
-            try:
-                sol = solve(problem, N, 2 * N, beta)
-                rep = error_norms(sol, problem)
-                cell["l2_error"] = rep.l2_error
-                cell["h1_error"] = rep.h1_semi_error
-            except Exception as exc:
-                cell["error"] = str(exc)
-            out.append(cell)
-    return out
+    by_N = {N: _sweep_cells(problem, N, beta_list)
+            for N in dict.fromkeys(N_list)}
+    return [{"N": N, "beta": beta, **by_N[N][i]}
+            for i, beta in enumerate(beta_list) for N in N_list]

@@ -1,6 +1,7 @@
 """Tests for the three-term recurrence evaluation routes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,43 @@ class TestRescaledKernel:
             == base.tobytes()
         base = fun_series_stable(p, xs)
         assert fun_series_stable(p, xs, cfg).tobytes() == base.tobytes()
+
+    @staticmethod
+    def _rows_xs():
+        # abscissae that underflow or need the shortest check interval too
+        return np.concatenate([gauss_rule(0.0, 200).nodes, [0.0, 1e4, 1e30]])
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 3.7])
+    @pytest.mark.parametrize("k", [2, 15, 16, 17, 31, 32, 33, 40])
+    def test_series_row_equals_single_degree_bitwise(self, k, a):
+        # rows either side of the edges of the finalizer's row blocks
+        xs = self._rows_xs()
+        row = fun_series_stable(LagParams(a, 40), xs)[k]
+        val, _ = fun_value_deriv_stable(LagParams(a, k), xs)
+        assert row.tobytes() == val.tobytes()
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 3.7])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_short_series_equals_leading_rows_bitwise(self, n, a):
+        # fewer rows than one block; degrees 0 and 1 have their own closed
+        # form in fun_value_deriv_stable, so compare with the long series
+        xs = self._rows_xs()
+        short = fun_series_stable(LagParams(a, n), xs)
+        assert short.tobytes() == \
+            fun_series_stable(LagParams(a, 40), xs)[:n + 1].tobytes()
+
+    def test_series_memory_near_result_size(self):
+        # a memory count, not a timing: finalizing must not make another
+        # full-size array per temporary
+        xs = gauss_rule(0.0, 2050).nodes
+        fun_series_stable(LagParams(0.0, 8), xs)  # one-off allocations
+        tracemalloc.start()
+        try:
+            out = fun_series_stable(LagParams(0.0, 512), xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * out.nbytes, f"peak {peak / out.nbytes:.2f}x result"
 
     def test_views_agree_with_scalar_route(self, nodes_2049):
         p = LagParams(0.0, 2048)

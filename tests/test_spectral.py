@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lagspec import spectral
 from lagspec.problems import make_case
 from lagspec.quadrature import gauss_rule
 from lagspec.spectral import (
@@ -261,6 +262,66 @@ class TestSweep:
         case = make_case("u1")
         with pytest.raises(ValueError):
             beta_sweep(case.problem, [], [1.0])
+
+
+class TestSweepPlan:
+    """``beta_sweep`` builds each N's basis once and applies it per beta."""
+
+    BETAS = [1.0, 2.0, 4.47, 8.0, 16.0]
+
+    def test_one_basis_per_rule_and_n(self, monkeypatch):
+        calls = []
+        original = spectral.basis_matrices
+
+        def counted(N, y):
+            calls.append(N)
+            return original(N, y)
+
+        monkeypatch.setattr(spectral, "basis_matrices", counted)
+        beta_sweep(make_case("u1").problem, [8, 16], self.BETAS)
+        # the load-vector rule and the norm rule of each N
+        assert sorted(calls) == [8, 8, 16, 16]
+
+    def test_cells_equal_direct_solve_bitwise(self):
+        problem = make_case("u1", k=2.0, gamma=2.0).problem
+        cells = beta_sweep(problem, [8, 16], self.BETAS)
+        for c in cells:
+            rep = error_norms(solve(problem, c["N"], 2 * c["N"], c["beta"]),
+                              problem)
+            assert c["error"] is None
+            assert c["l2_error"].hex() == rep.l2_error.hex()
+            assert c["h1_error"].hex() == rep.h1_semi_error.hex()
+
+    def test_duplicates_give_separate_equal_cells(self):
+        problem = make_case("u1").problem
+        cells = beta_sweep(problem, [8, 16, 8], [2.0, 1.0, 2.0])
+        assert [(c["beta"], c["N"]) for c in cells] == [
+            (b, N) for b in (2.0, 1.0, 2.0) for N in (8, 16, 8)]
+        assert len({id(c) for c in cells}) == len(cells)
+        assert cells[0] == cells[2] == cells[6] == cells[8]
+        assert cells[1] == cells[7]
+        cells[0]["l2_error"] = None
+        assert cells[2]["l2_error"] is not None
+
+    def test_failed_basis_marks_only_its_n(self, monkeypatch):
+        problem = make_case("u1").problem
+        good = beta_sweep(problem, [8, 16], self.BETAS)
+        original = spectral.basis_matrices
+
+        def broken_at_8(N, y):
+            if N == 8:
+                raise ArithmeticError("basis broken at N=8")
+            return original(N, y)
+
+        monkeypatch.setattr(spectral, "basis_matrices", broken_at_8)
+        cells = beta_sweep(problem, [8, 16], self.BETAS)
+        for c, ref in zip(cells, good):
+            if c["N"] == 8:
+                assert c == {"N": 8, "beta": ref["beta"], "l2_error": None,
+                             "h1_error": None,
+                             "error": "basis broken at N=8"}
+            else:
+                assert c == ref
 
 
 class TestBenchmarkCases:
