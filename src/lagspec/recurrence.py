@@ -13,7 +13,8 @@ Three evaluation routes are provided:
   underflow: ``eval_fun_stable`` for one point, and one array kernel behind
   ``fun_series_stable`` and ``fun_value_deriv_stable`` that checks for
   points to rescale every few steps, an interval derived from the largest
-  abscissa and the headroom ``k1`` leaves below overflow.
+  abscissa and the headroom ``k1`` leaves below overflow, and hands back
+  finished values, finalizing a series a few rows at a time.
 
 All functions are pure; overflow/underflow in the standard routes is
 deliberately passed through as IEEE infinities/zeros rather than masked,
@@ -284,16 +285,16 @@ def eval_fun_stable(params: LagParams, x: float,
 
 
 def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
-                         cfg: StableEvalConfig, series=None,
-                         partial_sum: bool = False):
-    """:func:`eval_fun_stable`'s recurrence at many abscissae, ``n >= 1``.
+                         cfg: StableEvalConfig, out: np.ndarray | None = None):
+    """:func:`eval_fun_stable`'s recurrence at many abscissae, finished.
 
     Rescales every point on the first step, then, every ``every`` steps,
-    only the points with ``|L| > exp(k1)``.  Returns ``(L, M, S)`` with
-    ``L = 2^-M L_n`` and, if ``partial_sum``, the running sum
-    ``S = L_0 + .. + L_n`` on the same scale (else ``None``).  ``series``,
-    a pair of ``(n+1, npts)`` arrays with row 0 set, receives rows 1..n of
-    the stored values and their halvings.
+    only the points with ``|L| > exp(k1)``; the ``2^-M``-scaled iterates
+    never leave this function.  Fills ``out``, shape ``(n+1, npts)``, with
+    ``exp(-x/2) L_k``, finalizing the rows made since the last block before
+    a check can change ``M`` and once ``_FINALIZE_ROWS`` wait, so the
+    finalizer's temporaries stay block-sized.  Without ``out`` (``n >= 1``)
+    returns ``exp(-x/2) L_n`` and ``exp(-x/2) (L_0 + .. + L_{n-1})``.
     """
     # A rescale is an exact power of two and finalizing goes through frexp,
     # so checking every K steps changes no result as long as nothing
@@ -307,27 +308,32 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
     g = 2.0 + abs(alpha) + float(xs.max(initial=0.0))
     headroom = _LOG_DBL_MAX - cfg.k1 - math.log(n + 1.0) - _CHECK_MARGIN
     every = max(1, int(headroom // math.log(g))) if math.isfinite(g) else 1
-    npts = xs.size
     big = math.exp(cfg.k1)
     half_x = 0.5 * xs
     L = 1.0 + alpha - xs
     dL = alpha - xs
-    tmp = np.empty(npts)
-    M = np.zeros(npts, dtype=np.int64)
-    S = 1.0 + L if partial_sum else None
-    stored, halvings = series or (None, None)
-    if series:
-        stored[1], halvings[1] = L, 0
+    tmp = np.empty_like(xs)
+    M = np.zeros(xs.size, dtype=np.int64)
+    S = 1.0 + L if out is None else None
     sums = () if S is None else (S,)
+    done = 0  # rows of out finalized so far
+    if out is not None:
+        out[0], out[1:2] = 1.0, L
     for k in range(1, n):
         dL *= k + alpha
         dL -= np.multiply(xs, L, out=tmp)
         dL /= k + 1.0
-        L = np.add(L, dL, out=stored[k + 1] if series else L)
+        L += dL
         if S is not None:
             S += L
-        if (k - 1) % every == 0:
-            idx = (np.arange(npts) if k == 1
+        check = (k - 1) % every == 0
+        if out is not None:
+            out[k + 1] = L
+            if check or k + 2 - done >= _FINALIZE_ROWS:
+                out[done:k + 2] = _finalize_array(out[done:k + 2], M, xs)
+                done = k + 2
+        if check:
+            idx = (np.arange(xs.size) if k == 1
                    else np.flatnonzero(np.abs(L) > big))
             idx = idx[(L[idx] != 0.0) & np.isfinite(L[idx])]
             if idx.size:
@@ -337,17 +343,18 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
                 for v in (L, dL) + sums:
                     v[idx] = np.ldexp(v[idx], -shift)
                 M[idx] += shift
-        if series:
-            halvings[k + 1] = M
     if not all(np.isfinite(v).all() for v in (L,) + sums):
         raise ArithmeticError("non-finite intermediate in rescaled recurrence")
-    return L, M, S
+    if out is None:
+        return _finalize_array(L, M, xs), _finalize_array(S - L, M, xs)
+    out[done:] = _finalize_array(out[done:], M, xs)
 
 
 def _abscissae(x) -> np.ndarray:
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs < 0):
-        raise ValueError("abscissae must be >= 0")
+    if not np.all(xs >= 0):
+        bad = xs[~(xs >= 0)][0]
+        raise ValueError(f"abscissae must be >= 0, got {bad}")
     return xs
 
 
@@ -355,27 +362,19 @@ def fun_series_stable(params: LagParams, x, cfg: StableEvalConfig | None = None
                       ) -> np.ndarray:
     """Stable Laguerre-function series at one or many abscissae.
 
-    The partially weighted iterates are recorded with the power-of-two
-    halvings applied when each was produced, and every entry is finalized
-    through the compensated leftover exponent.  Early entries whose true
-    magnitude is below the double-precision range come out as exact zeros.
+    Every entry is the partially weighted iterate finalized through the
+    compensated leftover exponent, as in :func:`eval_fun_stable`.  Early
+    entries whose true magnitude is below the double-precision range come
+    out as exact zeros.
 
     Returns an array of shape ``(n+1,)`` for scalar ``x`` or
     ``(n+1, len(x))`` for array ``x``.
     """
     xs = _abscissae(x)
-    stored = np.empty((params.n + 1, xs.size))
-    halvings = np.zeros(stored.shape, dtype=np.int64)
-    stored[0] = 1.0
-    if params.n >= 1:
-        _rescaled_recurrence(params.alpha, params.n, xs,
-                             cfg or _DEFAULT_STABLE_CFG, (stored, halvings))
-    # finalized in place a few rows at a time: the finalizer's temporaries
-    # stay block-sized instead of one full-size array each
-    for i in range(0, params.n + 1, _FINALIZE_ROWS):
-        rows = slice(i, i + _FINALIZE_ROWS)
-        stored[rows] = _finalize_array(stored[rows], halvings[rows], xs)
-    return stored[:, 0] if np.ndim(x) == 0 else stored
+    out = np.empty((params.n + 1, xs.size))
+    _rescaled_recurrence(params.alpha, params.n, xs,
+                         cfg or _DEFAULT_STABLE_CFG, out)
+    return out[:, 0] if np.ndim(x) == 0 else out
 
 
 def fun_value_deriv_stable(params: LagParams, x,
@@ -395,12 +394,10 @@ def fun_value_deriv_stable(params: LagParams, x,
         val = w if n == 0 else (1.0 + alpha - xs) * w
         der = -0.5 * w if n == 0 else -(alpha + 3.0 - xs) / 2.0 * w
     else:
-        L, M, S = _rescaled_recurrence(
-            alpha, n, xs, cfg or _DEFAULT_STABLE_CFG, partial_sum=True)
-        val = _finalize_array(L, M, xs)
-        # exp(-x/2) * L_n' = -(S - L) * leftover scale; then the product
-        # rule for the exp(-x/2) prefactor contributes -val/2
-        der = -_finalize_array(S - L, M, xs) - 0.5 * val
+        val, part = _rescaled_recurrence(alpha, n, xs,
+                                         cfg or _DEFAULT_STABLE_CFG)
+        # exp(-x/2) L_n' = -part; the prefactor's product rule adds -val/2
+        der = -part - 0.5 * val
     return (val[0], der[0]) if np.ndim(x) == 0 else (val, der)
 
 

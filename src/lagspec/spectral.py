@@ -159,6 +159,9 @@ def _plan(N: int, M: int, norms: bool = True) -> _Plan:
 
 
 def _load(rb: _RuleBasis, problem: ModelProblem, beta: float) -> np.ndarray:
+    # every solve samples f here first, so this is where beta is checked
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
     g = np.asarray(problem.f(rb.y / beta), dtype=float)
     if not np.all(np.isfinite(g)):
         j = int(np.flatnonzero(~np.isfinite(g))[0])
@@ -170,8 +173,8 @@ def _load(rb: _RuleBasis, problem: ModelProblem, beta: float) -> np.ndarray:
 def _apply(plan: _Plan, problem: ModelProblem, beta: float
            ) -> SpectralSolution:
     N = plan.N
-    diag, off = assemble_system(N, problem.gamma / beta ** 2)
     b = _load(plan.rhs, problem, beta)
+    diag, off = assemble_system(N, problem.gamma / beta ** 2)
     ab = np.zeros((2, N))
     ab[0, 1:] = off
     ab[1] = diag
@@ -230,7 +233,7 @@ def error_norms(sol: SpectralSolution, problem: ModelProblem | None = None,
     """L2 and H1-seminorm errors against the exact solution.
 
     Norm integrals use a (2M+3)-point rule in the scaled variable; with
-    ``check_quadrature`` a 4M-point re-evaluation estimates the
+    ``check_quadrature`` a (4M+1)-point re-evaluation estimates the
     quadrature-induced part of the reported error.
     """
     if problem is None:

@@ -183,6 +183,14 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == USAGE_ERROR
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--case", "u1", "--n", "8", "--beta", "0"],
+        ["eval", "--n", "3", "--x", "nan", "--method", "stable"]])
+    def test_usage_error_from_bad_input(self, capsys, argv):
+        code = main(argv)
+        assert code == USAGE_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_usage_error_from_parser(self, capsys):
         code = main(["quad"])  # missing required --n
         capsys.readouterr()

@@ -39,6 +39,13 @@ class TestParams:
         with pytest.raises(ValueError):
             eval_poly_standard(LagParams(0.0, 3), -0.5)
 
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_nan_abscissa_rejected_on_array_routes(self, n):
+        xs = np.array([0.5, np.nan, 2.0])
+        for route in (fun_series_stable, fun_value_deriv_stable):
+            with pytest.raises(ValueError, match="got nan"):
+                route(LagParams(0.0, n), xs)
+
     def test_stable_config_budget_guard(self):
         with pytest.raises(ValueError):
             StableEvalConfig(k1=40.0, k2=40.0)
@@ -248,18 +255,25 @@ class TestRescaledKernel:
         assert fun_series_stable(p, xs, cfg).tobytes() == base.tobytes()
 
     @staticmethod
-    def _rows_xs():
-        # abscissae that underflow or need the shortest check interval too
-        return np.concatenate([gauss_rule(0.0, 200).nodes, [0.0, 1e4, 1e30]])
+    def _rows_xs(huge=True):
+        # huge adds abscissae that underflow or need a short check interval
+        nodes = gauss_rule(0.0, 200).nodes
+        return np.concatenate([nodes, [0.0, 1e4, 1e30]]) if huge else nodes
 
+    # Rows either side of the edges of the kernel's row blocks at n = 40.  A
+    # check at step k finalizes rows up to k + 1, and a block also ends once
+    # 16 rows wait.  With 1e30 the checks come every 9 steps, so they end
+    # the blocks (2|3, 11|12, 20|21, 29|30, 38|39); over the 201-point nodes
+    # alone they come every 96, so after 2|3 the row cap does (18|19, 34|35).
     @pytest.mark.parametrize("a", [0.0, 0.5, 3.7])
-    @pytest.mark.parametrize("k", [2, 15, 16, 17, 31, 32, 33, 40])
+    @pytest.mark.parametrize("k", [2, 3, 11, 12, 15, 16, 17, 18, 19, 20, 21,
+                                   29, 30, 31, 32, 33, 34, 35, 38, 39, 40])
     def test_series_row_equals_single_degree_bitwise(self, k, a):
-        # rows either side of the edges of the finalizer's row blocks
-        xs = self._rows_xs()
-        row = fun_series_stable(LagParams(a, 40), xs)[k]
-        val, _ = fun_value_deriv_stable(LagParams(a, k), xs)
-        assert row.tobytes() == val.tobytes()
+        for huge in (True, False):
+            xs = self._rows_xs(huge)
+            row = fun_series_stable(LagParams(a, 40), xs)[k]
+            val, _ = fun_value_deriv_stable(LagParams(a, k), xs)
+            assert row.tobytes() == val.tobytes(), f"huge={huge}"
 
     @pytest.mark.parametrize("a", [0.0, 0.5, 3.7])
     @pytest.mark.parametrize("n", [0, 1])
@@ -273,16 +287,19 @@ class TestRescaledKernel:
 
     def test_series_memory_near_result_size(self):
         # a memory count, not a timing: finalizing must not make another
-        # full-size array per temporary
-        xs = gauss_rule(0.0, 2050).nodes
-        fun_series_stable(LagParams(0.0, 8), xs)  # one-off allocations
-        tracemalloc.start()
-        try:
-            out = fun_series_stable(LagParams(0.0, 512), xs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * out.nbytes, f"peak {peak / out.nbytes:.2f}x result"
+        # full-size array per temporary.  At n = 512 the checks come every
+        # 71 steps over the nodes and every 582 over [0, 1], so the second
+        # set holds the 16-row cap on the finalized blocks
+        for xs in (gauss_rule(0.0, 2050).nodes, np.linspace(0.0, 1.0, 2051)):
+            fun_series_stable(LagParams(0.0, 8), xs)  # one-off allocations
+            tracemalloc.start()
+            try:
+                out = fun_series_stable(LagParams(0.0, 512), xs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.6 * out.nbytes, \
+                f"peak {peak / out.nbytes:.2f}x result, x_max {xs[-1]}"
 
     def test_views_agree_with_scalar_route(self, nodes_2049):
         p = LagParams(0.0, 2048)

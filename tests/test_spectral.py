@@ -118,6 +118,13 @@ class TestRhsAndSolve:
         with pytest.raises(ArithmeticError, match="node"):
             project_rhs(prob, 4, 8, 1.0)
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_beta_rejected(self, beta):
+        case = make_case("u1")
+        for call in (solve, project_rhs):
+            with pytest.raises(ValueError, match="beta"):
+                call(case.problem, 8, 16, beta)
+
     def test_rhs_deterministic(self):
         case = make_case("u1")
         a = project_rhs(case.problem, 8, 16, 1.0)
@@ -257,6 +264,15 @@ class TestSweep:
         cells = beta_sweep(bad, [4], [1.0])
         assert cells[0]["l2_error"] is None
         assert "node" in cells[0]["error"]
+
+    def test_bad_beta_marks_only_its_cells(self):
+        case = make_case("u1")
+        cells = beta_sweep(case.problem, [8, 16], [1.0, 0.0, 2.0])
+        bad = [c for c in cells if c["beta"] == 0.0]
+        assert len(bad) == 2
+        assert all(c["l2_error"] is None and "beta" in c["error"] for c in bad)
+        assert [c for c in cells if c["beta"] != 0.0] == \
+            beta_sweep(case.problem, [8, 16], [1.0, 2.0])
 
     def test_empty_lists_rejected(self):
         case = make_case("u1")
