@@ -3,7 +3,6 @@
 from .recurrence import (
     LagParams,
     LagSeries,
-    StableEvalConfig,
     eval_poly_standard,
     eval_poly_modified,
     eval_poly_derivative,

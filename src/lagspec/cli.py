@@ -117,8 +117,7 @@ def _setup_case(args) -> problems.CaseSetup:
 
 def cmd_solve(args) -> int:
     setup = _setup_case(args)
-    M = args.m if args.m is not None else 2 * args.n
-    sol = spectral.solve(setup.problem, args.n, M, args.beta)
+    sol = spectral.solve(setup.problem, args.n, args.m, args.beta)
     rep = spectral.error_norms(sol, setup.problem)
     _write_rows(args, ["N", "beta", "l2_error", "h1_error"],
                 [(args.n, _fmt(args.beta), _fmt(rep.l2_error),

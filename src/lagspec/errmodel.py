@@ -58,7 +58,6 @@ class ErrorBoundInput:
     eta: float
     e1: float
     zeta_max: float
-    eps: float = DOUBLE_EPS
 
     def __post_init__(self) -> None:
         if self.eta <= 0:
@@ -90,7 +89,6 @@ class ErrorBoundInput:
 class ErrorBoundResult:
     regime: Regime
     energy_bound: float
-    abs_bound: float
     beta_n: float | None = None
 
 
@@ -130,9 +128,7 @@ def energy_bound(inp: ErrorBoundInput) -> ErrorBoundResult:
     else:
         beta_n = growth_factor(n, inp.alpha, inp.x, inp.eta)
         eb = beta_n * e1sq + ((n - 3.0) * (n + 1.0) ** 2 + 29.0 * beta_n) / inp.eta * z2
-    ab = abs_error_bound(inp)
-    return ErrorBoundResult(regime=regime, energy_bound=eb, abs_bound=ab,
-                            beta_n=beta_n)
+    return ErrorBoundResult(regime=regime, energy_bound=eb, beta_n=beta_n)
 
 
 def abs_error_bound(inp: ErrorBoundInput) -> float:

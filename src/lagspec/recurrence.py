@@ -13,8 +13,10 @@ Three evaluation routes are provided:
   underflow: ``eval_fun_stable`` for one point, and one array kernel behind
   ``fun_series_stable`` and ``fun_value_deriv_stable`` that checks for
   points to rescale every few steps, an interval derived from the largest
-  abscissa and the headroom ``k1`` leaves below overflow, and hands back
-  finished values, finalizing a series a few rows at a time.
+  abscissa and the headroom the rescale threshold ``_K1`` leaves below
+  overflow, and hands back finished values, finalizing a series a few rows
+  at a time.  The thresholds are private constants: no result depends on
+  them beyond the final rounding, and the tests vary them to show it.
 
 All functions are pure; overflow/underflow in the standard routes is
 deliberately passed through as IEEE infinities/zeros rather than masked,
@@ -31,7 +33,6 @@ import numpy as np
 __all__ = [
     "LagParams",
     "LagSeries",
-    "StableEvalConfig",
     "eval_poly_standard",
     "eval_poly_modified",
     "eval_poly_derivative",
@@ -79,28 +80,13 @@ class LagSeries:
     deltas: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class StableEvalConfig:
-    """Thresholds of the adaptive rescaling scheme.
-
-    Rescaling is triggered once ``|L| > exp(k1)`` and pushes the magnitude
-    back down to about ``exp(-k2)``.  ``k1 + k2 < 80`` keeps every
-    intermediate representable in double precision.  ``k1`` also sets the
-    headroom between the array kernel's checks (see
-    ``_rescaled_recurrence``).
-    """
-
-    k1: float = 32.0
-    k2: float = 32.0
-
-    def __post_init__(self) -> None:
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise ValueError("k1 and k2 must be positive")
-        if self.k1 + self.k2 >= 80.0:
-            raise ValueError("k1 + k2 must be < 80 to avoid overflow")
-
-
-_DEFAULT_STABLE_CFG = StableEvalConfig()
+# Thresholds of the adaptive rescaling: a rescale starts once |L| > exp(_K1)
+# and brings the value down to about exp(-_K2).  _K1 + _K2 < 80 keeps every
+# intermediate representable in double precision, and _K1 also sets the
+# headroom between the array kernel's checks (see _rescaled_recurrence).
+# Read at call time; no result depends on them beyond the final rounding.
+_K1 = 32.0
+_K2 = 32.0
 
 # Cody-Waite split of ln 2: the high part carries ~33 significant bits, so
 # products with moderate integers are exact; the low part restores full
@@ -240,29 +226,27 @@ def eval_fun_modified(params: LagParams, x: float) -> LagSeries:
     return _difference(params, x, math.exp(-x / 2.0))
 
 
-def eval_fun_stable(params: LagParams, x: float,
-                    cfg: StableEvalConfig | None = None) -> float:
+def eval_fun_stable(params: LagParams, x: float) -> float:
     """Overflow/underflow-safe evaluation of ``exp(-x/2) L_n(x)``.
 
     Runs the difference recurrence on partially weighted values.  A budget
     ``x_b = x/2`` of exponent remains to be applied; whenever the iterate
-    grows past ``exp(k1)`` (and unconditionally on the first step) a chunk
-    ``x_c = min(max(log|L| + k2, 0), x_b)`` of the weight is folded in and
+    grows past ``exp(_K1)`` (and unconditionally on the first step) a chunk
+    ``x_c = min(max(log|L| + _K2, 0), x_b)`` of the weight is folded in and
     deducted from the budget.  Each chunk is applied as an exact power of
     two, and the leftover exponent goes through a compensated split at the
-    end, so the result does not depend on ``(k1, k2)`` beyond the final
+    end, so the result does not depend on ``(_K1, _K2)`` beyond the final
     rounding.
 
     A Python-float loop on purpose: callers pass one abscissa at a time,
     where the array kernel's numpy calls cost about 30 times more.
     """
     x = _check_x(x)
-    cfg = cfg or _DEFAULT_STABLE_CFG
     alpha, n = params.alpha, params.n
     if n <= 1:
         return (1.0 if n == 0 else 1.0 + alpha - x) * math.exp(-x / 2.0)
 
-    big = math.exp(cfg.k1)
+    big = math.exp(_K1)
     L = 1.0 + alpha - x
     dL = alpha - x
     M = 0  # halvings applied so far: stored L is 2^-M times the true one
@@ -272,24 +256,23 @@ def eval_fun_stable(params: LagParams, x: float,
         L = L + dL
         if (k == 1 or abs(L) > big) and L != 0.0 and math.isfinite(L):
             xb = max(half_x - M * _LN2, 0.0)
-            xc = min(max(math.log(abs(L)) + cfg.k2, 0.0), xb)
+            xc = min(max(math.log(abs(L)) + _K2, 0.0), xb)
             m = int(xc / _LN2)
             if m > 0:
                 L = math.ldexp(L, -m)
                 dL = math.ldexp(dL, -m)
                 M += m
         if not math.isfinite(L):
-            raise ArithmeticError(
-                f"non-finite intermediate at step {k}; check rescale config")
+            raise ArithmeticError(f"non-finite intermediate at step {k}")
     return _finalize_scalar(L, M, x)
 
 
 def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
-                         cfg: StableEvalConfig, out: np.ndarray | None = None):
+                         out: np.ndarray | None = None):
     """:func:`eval_fun_stable`'s recurrence at many abscissae, finished.
 
     Rescales every point on the first step, then, every ``every`` steps,
-    only the points with ``|L| > exp(k1)``; the ``2^-M``-scaled iterates
+    only the points with ``|L| > exp(_K1)``; the ``2^-M``-scaled iterates
     never leave this function.  Fills ``out``, shape ``(n+1, npts)``, with
     ``exp(-x/2) L_k``, finalizing the rows made since the last block before
     a check can change ``M`` and once ``_FINALIZE_ROWS`` wait, so the
@@ -300,15 +283,15 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
     # so checking every K steps changes no result as long as nothing
     # overflows.  A step maps m = max(|L|, |dL|) to at most g m, with
     # g = 2 + |alpha| + x_max as |k+alpha|/(k+1) <= 1 + |alpha| and
-    # x/(k+1) <= x/2.  A check leaves |L| <= exp(k1) (or near the weighted
+    # x/(k+1) <= x/2.  A check leaves |L| <= exp(_K1) (or near the weighted
     # function once the budget x/2 is spent), and the running sum and
     # (k+alpha) dL stay within n+1 times the largest state, so K steps stay
-    # finite while K log g <= log(DBL_MAX) - k1 - log(n+1) - margin.  The
+    # finite while K log g <= log(DBL_MAX) - _K1 - log(n+1) - margin.  The
     # margin covers |dL| > |L| just after a check, near a sign change of L.
     g = 2.0 + abs(alpha) + float(xs.max(initial=0.0))
-    headroom = _LOG_DBL_MAX - cfg.k1 - math.log(n + 1.0) - _CHECK_MARGIN
+    headroom = _LOG_DBL_MAX - _K1 - math.log(n + 1.0) - _CHECK_MARGIN
     every = max(1, int(headroom // math.log(g))) if math.isfinite(g) else 1
-    big = math.exp(cfg.k1)
+    big = math.exp(_K1)
     half_x = 0.5 * xs
     L = 1.0 + alpha - xs
     dL = alpha - xs
@@ -338,7 +321,7 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
             idx = idx[(L[idx] != 0.0) & np.isfinite(L[idx])]
             if idx.size:
                 xb = np.maximum(half_x[idx] - M[idx] * _LN2, 0.0)
-                xc = np.clip(np.log(np.abs(L[idx])) + cfg.k2, 0.0, xb)
+                xc = np.clip(np.log(np.abs(L[idx])) + _K2, 0.0, xb)
                 shift = (xc / _LN2).astype(np.int64)
                 for v in (L, dL) + sums:
                     v[idx] = np.ldexp(v[idx], -shift)
@@ -358,8 +341,7 @@ def _abscissae(x) -> np.ndarray:
     return xs
 
 
-def fun_series_stable(params: LagParams, x, cfg: StableEvalConfig | None = None
-                      ) -> np.ndarray:
+def fun_series_stable(params: LagParams, x) -> np.ndarray:
     """Stable Laguerre-function series at one or many abscissae.
 
     Every entry is the partially weighted iterate finalized through the
@@ -372,13 +354,11 @@ def fun_series_stable(params: LagParams, x, cfg: StableEvalConfig | None = None
     """
     xs = _abscissae(x)
     out = np.empty((params.n + 1, xs.size))
-    _rescaled_recurrence(params.alpha, params.n, xs,
-                         cfg or _DEFAULT_STABLE_CFG, out)
+    _rescaled_recurrence(params.alpha, params.n, xs, out)
     return out[:, 0] if np.ndim(x) == 0 else out
 
 
-def fun_value_deriv_stable(params: LagParams, x,
-                           cfg: StableEvalConfig | None = None):
+def fun_value_deriv_stable(params: LagParams, x):
     """Degree-``n`` Laguerre function and its derivative, stably.
 
     Returns ``(exp(-x/2) L_n(x), d/dx [exp(-x/2) L_n(x)])`` for scalar or
@@ -394,8 +374,7 @@ def fun_value_deriv_stable(params: LagParams, x,
         val = w if n == 0 else (1.0 + alpha - xs) * w
         der = -0.5 * w if n == 0 else -(alpha + 3.0 - xs) / 2.0 * w
     else:
-        val, part = _rescaled_recurrence(alpha, n, xs,
-                                         cfg or _DEFAULT_STABLE_CFG)
+        val, part = _rescaled_recurrence(alpha, n, xs)
         # exp(-x/2) L_n' = -part; the prefactor's product rule adds -val/2
         der = -part - 0.5 * val
     return (val[0], der[0]) if np.ndim(x) == 0 else (val, der)

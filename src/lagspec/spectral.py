@@ -8,12 +8,12 @@ O(N); right-hand sides and error norms are evaluated by Gauss quadrature
 in the scaled variable using function-form weights.
 
 The basis lives in ``y``, so it does not depend on beta.  A solve is split
-into a plan, built once per ``(N, M)``, that holds psi at the nodes of the
-(M+1)-point rule of the load vector and psi, dpsi at the nodes of the
-(2M+3)-point rule of the error norms; and an apply step, run per beta, that
-samples ``f(y/beta)``, projects it with one matrix-vector product, solves
-the tridiagonal system and takes the norms from the plan's matrices.
-``beta_sweep`` builds one plan per N and applies it to every beta.
+into the basis at the nodes of two rules, built once per ``(N, M)``: psi at
+the (M+1)-point rule of the load vector, and psi, dpsi at the (2M+3)-point
+rule of the error norms; and an apply step, run per beta, that samples
+``f(y/beta)``, projects it with one matrix-vector product, solves the
+tridiagonal system and takes the norms from the second rule's matrices.
+``beta_sweep`` builds both once per N and applies them to every beta.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ class ModelProblem:
     u_exact_prime: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
 
 
 @dataclass
@@ -138,30 +138,27 @@ def _rule_basis(N: int, K: int, deriv: bool = True) -> _RuleBasis:
                       dpsi if deriv else None)
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """The beta-independent half of a solve with N basis functions and
-    M-point load quadrature; ``norms`` is ``None`` when only solving."""
-
-    N: int
-    M: int
-    rhs: _RuleBasis
-    norms: _RuleBasis | None
-
-
-def _plan(N: int, M: int, norms: bool = True) -> _Plan:
+def _load_basis(N: int, M: int) -> _RuleBasis:
+    # every solve builds its load rule here first, so (N, M) is checked here
     if N < 1:
         raise ValueError("N must be >= 1")
     if M < N + 1:
         raise ValueError("quadrature order M must be >= N + 1")
-    return _Plan(N, M, _rule_basis(N, M, deriv=False),
-                 _rule_basis(N, 2 * M + 2) if norms else None)
+    return _rule_basis(N, M, deriv=False)
+
+
+def _norm_basis(N: int, M: int) -> _RuleBasis:
+    return _rule_basis(N, 2 * M + 2)
 
 
 def _load(rb: _RuleBasis, problem: ModelProblem, beta: float) -> np.ndarray:
-    # every solve samples f here first, so this is where beta is checked
-    if not 0.0 < beta < math.inf:
-        raise ValueError(f"beta must be finite and > 0, got {beta}")
+    # every solve samples f here first, so this is where beta is checked;
+    # beta * beta gives inf where beta ** 2 raises OverflowError
+    b2 = beta * beta
+    if not (0.0 < beta < math.inf and 0.0 < b2 < math.inf
+            and 0.0 < problem.gamma / b2 < math.inf):
+        raise ValueError("beta must be finite and > 0, with beta**2 and "
+                         f"gamma/beta**2 positive doubles, got {beta}")
     g = np.asarray(problem.f(rb.y / beta), dtype=float)
     if not np.all(np.isfinite(g)):
         j = int(np.flatnonzero(~np.isfinite(g))[0])
@@ -170,10 +167,10 @@ def _load(rb: _RuleBasis, problem: ModelProblem, beta: float) -> np.ndarray:
     return rb.psi @ (g * rb.w) / beta ** 2
 
 
-def _apply(plan: _Plan, problem: ModelProblem, beta: float
+def _apply(rb: _RuleBasis, problem: ModelProblem, beta: float
            ) -> SpectralSolution:
-    N = plan.N
-    b = _load(plan.rhs, problem, beta)
+    N = rb.psi.shape[0]
+    b = _load(rb, problem, beta)
     diag, off = assemble_system(N, problem.gamma / beta ** 2)
     ab = np.zeros((2, N))
     ab[0, 1:] = off
@@ -181,7 +178,7 @@ def _apply(plan: _Plan, problem: ModelProblem, beta: float
     coeffs = solveh_banded(ab, b)
     if not np.all(np.isfinite(coeffs)):
         raise ArithmeticError("Galerkin solve produced non-finite coefficients")
-    return SpectralSolution(N=N, M=plan.M, beta=beta, coeffs=coeffs,
+    return SpectralSolution(N=N, M=rb.y.size - 1, beta=beta, coeffs=coeffs,
                             problem=problem)
 
 
@@ -193,7 +190,7 @@ def project_rhs(problem: ModelProblem, N: int, M: int, beta: float
     variable; with function-form weights this equals the inner product of
     the degree-M interpolant exactly.
     """
-    return _load(_plan(N, M, norms=False).rhs, problem, beta)
+    return _load(_load_basis(N, M), problem, beta)
 
 
 def solve(problem: ModelProblem, N: int, M: int | None = None,
@@ -206,7 +203,7 @@ def solve(problem: ModelProblem, N: int, M: int | None = None,
     """
     if M is None:
         M = 2 * N
-    return _apply(_plan(N, M, norms=False), problem, beta)
+    return _apply(_load_basis(N, M), problem, beta)
 
 
 def _norms_at_order(sol: SpectralSolution, problem: ModelProblem,
@@ -238,8 +235,7 @@ def error_norms(sol: SpectralSolution, problem: ModelProblem | None = None,
     """
     if problem is None:
         problem = sol.problem
-    l2, h1 = _norms_at_order(sol, problem,
-                             _rule_basis(sol.N, 2 * sol.M + 2))
+    l2, h1 = _norms_at_order(sol, problem, _norm_basis(sol.N, sol.M))
     quad_est = None
     if check_quadrature:
         l2b, _ = _norms_at_order(sol, problem, _rule_basis(sol.N, 4 * sol.M))
@@ -259,9 +255,10 @@ def optimal_beta_exponential(z_re: float, z_im: float = 0.0) -> float:
 
 def _sweep_cells(problem: ModelProblem, N: int, beta_list: Sequence[float]
                  ) -> list[dict]:
-    # one plan for every beta, freed on return so only one is ever alive
+    # both rule bases serve every beta and are freed on return, so only one
+    # N's pair is ever alive
     try:
-        plan = _plan(N, 2 * N)
+        rhs, norms = _load_basis(N, 2 * N), _norm_basis(N, 2 * N)
     except Exception as exc:
         return [{"l2_error": None, "h1_error": None, "error": str(exc)}
                 for _ in beta_list]
@@ -269,9 +266,9 @@ def _sweep_cells(problem: ModelProblem, N: int, beta_list: Sequence[float]
     for beta in beta_list:
         cell = {"l2_error": None, "h1_error": None, "error": None}
         try:
-            sol = _apply(plan, problem, beta)
+            sol = _apply(rhs, problem, beta)
             cell["l2_error"], cell["h1_error"] = _norms_at_order(
-                sol, problem, plan.norms)
+                sol, problem, norms)
         except Exception as exc:
             cell["error"] = str(exc)
         cells.append(cell)
@@ -283,9 +280,10 @@ def beta_sweep(problem: ModelProblem, N_list: Sequence[int],
     """Solve/measure over a (beta, N) grid with M = 2N quadrature points;
     beta outer, N inner.
 
-    Each distinct N builds its plan once and applies it to every beta.  A
-    failure is recorded in the ``error`` field of the cells it affects
-    (every cell of its N if the plan fails) and the sweep continues.
+    Each distinct N builds its two rule bases once and applies them to
+    every beta.  A failure is recorded in the ``error`` field of the cells
+    it affects (every cell of its N if a basis fails) and the sweep
+    continues.
     """
     if not N_list or not beta_list:
         raise ValueError("N_list and beta_list must be nonempty")

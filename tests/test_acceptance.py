@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from lagspec import errmodel
+from lagspec import errmodel, recurrence
 from lagspec.oracle import _poly_series_mpf, hp_eval
 from lagspec.problems import make_case
 from lagspec.quadrature import (
@@ -25,7 +25,6 @@ from lagspec.quadrature import (
 )
 from lagspec.recurrence import (
     LagParams,
-    StableEvalConfig,
     eval_fun_derivative,
     eval_fun_stable,
     eval_poly_modified,
@@ -330,7 +329,9 @@ def test_criterion_9_invariant_suite():
     probe = 0.5 * (nodes[:-1] + nodes[1:])[[0, 125, 250, 375, 498]]
     base = np.array([eval_fun_stable(params, float(x)) for x in probe])
     for k1, k2 in ((20.0, 40.0), (48.0, 16.0), (16.0, 48.0)):
-        cfg = StableEvalConfig(k1=k1, k2=k2)
-        other = np.array([eval_fun_stable(params, float(x), cfg=cfg)
-                          for x in probe])
+        with pytest.MonkeyPatch.context() as mpatch:
+            mpatch.setattr(recurrence, "_K1", k1)
+            mpatch.setattr(recurrence, "_K2", k2)
+            other = np.array([eval_fun_stable(params, float(x))
+                              for x in probe])
         assert np.all(np.abs(other - base) <= 4.0 * np.spacing(np.abs(base)))

@@ -185,7 +185,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--case", "u1", "--n", "8", "--beta", "0"],
-        ["eval", "--n", "3", "--x", "nan", "--method", "stable"]])
+        ["eval", "--n", "3", "--x", "nan", "--method", "stable"],
+        ["solve", "--case", "u1", "--n", "8", "--beta", "1e200"]])
     def test_usage_error_from_bad_input(self, capsys, argv):
         code = main(argv)
         assert code == USAGE_ERROR

@@ -90,13 +90,16 @@ class TestGrowthFactor:
 
 class TestBounds:
     def test_nonexpansive_energy_formula(self):
-        inp = _inp(n=4, alpha=0.0, x=0.1)
-        res = energy_bound(inp)
-        e1sq = (0.1 + 1.0) * inp.e1 ** 2
-        expect = e1sq + 5.0 * 6.0 * 11.0 / (6.0 * 0.25) * inp.zeta_max ** 2
-        assert res.regime is Regime.NONEXPANSIVE
-        assert res.beta_n is None
-        assert res.energy_bound == pytest.approx(expect, rel=1e-12)
+        # the energy bound needs only the regime: x >= 1/4 and x = 0, where
+        # abs_error_bound refuses, still get it
+        for x in (0.1, 0.5, 0.0):
+            inp = _inp(n=4, alpha=0.0, x=x)
+            res = energy_bound(inp)
+            e1sq = (x + 1.0) * inp.e1 ** 2
+            expect = e1sq + 5.0 * 6.0 * 11.0 / (6.0 * 0.25) * inp.zeta_max ** 2
+            assert res.regime is Regime.NONEXPANSIVE
+            assert res.beta_n is None
+            assert res.energy_bound == pytest.approx(expect, rel=1e-12), x
 
     def test_expansive_carries_growth_factor(self):
         res = energy_bound(_inp(alpha=0.8, x=0.1))

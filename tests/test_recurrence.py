@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
+from lagspec import recurrence
 from lagspec.quadrature import gauss_rule
 from lagspec.recurrence import (
     LagParams,
-    StableEvalConfig,
     eval_fun_derivative,
     eval_fun_modified,
     eval_fun_stable,
@@ -46,11 +46,10 @@ class TestParams:
             with pytest.raises(ValueError, match="got nan"):
                 route(LagParams(0.0, n), xs)
 
-    def test_stable_config_budget_guard(self):
-        with pytest.raises(ValueError):
-            StableEvalConfig(k1=40.0, k2=40.0)
-        with pytest.raises(ValueError):
-            StableEvalConfig(k1=-1.0, k2=10.0)
+    def test_rescale_thresholds_within_budget(self):
+        # every intermediate stays representable only while k1 + k2 < 80
+        assert recurrence._K1 > 0 and recurrence._K2 > 0
+        assert recurrence._K1 + recurrence._K2 < 80.0
 
 
 class TestPolynomialValues:
@@ -216,16 +215,18 @@ class TestRescaledKernel:
 
     @pytest.mark.parametrize("k1,k2", [(20.0, 40.0), (48.0, 16.0),
                                        (16.0, 48.0)])
-    def test_threshold_independence_bitwise(self, nodes_2049, k1, k2):
+    def test_threshold_independence_bitwise(self, nodes_2049, k1, k2,
+                                            monkeypatch):
         mids = 0.5 * (nodes_2049[:-1] + nodes_2049[1:])
-        cfg = StableEvalConfig(k1=k1, k2=k2)
+        probe = np.concatenate([mids[:-10:16], mids[-10:]])
         p = LagParams(0.0, 2048)
         base = np.array(fun_value_deriv_stable(p, mids))
-        other = np.array(fun_value_deriv_stable(p, mids, cfg))
+        base_series = fun_series_stable(p, probe)
+        monkeypatch.setattr(recurrence, "_K1", k1)
+        monkeypatch.setattr(recurrence, "_K2", k2)
+        other = np.array(fun_value_deriv_stable(p, mids))
         assert other.tobytes() == base.tobytes()
-        probe = np.concatenate([mids[:-10:16], mids[-10:]])
-        base = fun_series_stable(p, probe)
-        assert fun_series_stable(p, probe, cfg).tobytes() == base.tobytes()
+        assert fun_series_stable(p, probe).tobytes() == base_series.tobytes()
 
     @pytest.mark.parametrize("x", [1e4, 1e30, 1e100, 1e140])
     def test_huge_abscissae_stay_finite(self, x):
@@ -242,17 +243,19 @@ class TestRescaledKernel:
     @pytest.mark.parametrize("n", [2, 50])
     @pytest.mark.parametrize("k1,k2", [(20.0, 40.0), (48.0, 16.0),
                                        (16.0, 48.0)])
-    def test_underflowed_zero_sign_threshold_independent(self, n, k1, k2):
+    def test_underflowed_zero_sign_threshold_independent(self, n, k1, k2,
+                                                         monkeypatch):
         # at x = 1e18 every value underflows and 1 + t_lo < 0; the sign of
         # a zero must still not depend on the rescale thresholds
         p = LagParams(0.0, n)
         xs = np.array([1e18])
-        cfg = StableEvalConfig(k1=k1, k2=k2)
         base = np.array(fun_value_deriv_stable(p, xs))
-        assert np.array(fun_value_deriv_stable(p, xs, cfg)).tobytes() \
+        base_series = fun_series_stable(p, xs)
+        monkeypatch.setattr(recurrence, "_K1", k1)
+        monkeypatch.setattr(recurrence, "_K2", k2)
+        assert np.array(fun_value_deriv_stable(p, xs)).tobytes() \
             == base.tobytes()
-        base = fun_series_stable(p, xs)
-        assert fun_series_stable(p, xs, cfg).tobytes() == base.tobytes()
+        assert fun_series_stable(p, xs).tobytes() == base_series.tobytes()
 
     @staticmethod
     def _rows_xs(huge=True):

@@ -118,7 +118,8 @@ class TestRhsAndSolve:
         with pytest.raises(ArithmeticError, match="node"):
             project_rhs(prob, 4, 8, 1.0)
 
-    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf,
+                                      1e200, 1e-200, 1e-160])
     def test_bad_beta_rejected(self, beta):
         case = make_case("u1")
         for call in (solve, project_rhs):
@@ -378,5 +379,6 @@ class TestBenchmarkCases:
             make_case("u9")
 
     def test_gamma_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ModelProblem(gamma=0.0, f=lambda x: x)
+        for gamma in (0.0, math.inf):
+            with pytest.raises(ValueError, match="gamma"):
+                ModelProblem(gamma=gamma, f=lambda x: x)
