@@ -107,13 +107,25 @@ def refine_newton(alpha: float, N: int, seeds: np.ndarray) -> np.ndarray:
 
     Each node is updated by ``x <- x - L_{N+1}(x) / L_{N+1}'(x)`` with the
     ratio evaluated through the rescaled function recurrence (the common
-    exponential scale cancels).  A node that leaves the bracket formed by
-    its neighbouring seed midpoints is reset to its seed and reported via a
-    warning.
+    exponential scale cancels).  Iteration stops once every node's step is
+    at most ``4 eps x``, or after 10 iterations.  A node that leaves the
+    bracket formed by its neighbouring seed midpoints is reset to its seed
+    and reported via a warning.
+
+    A step is a pointwise, deterministic map of the node (the recurrence
+    rescales by exact powers of two and finalizes through frexp, so a
+    node's value does not depend on the rest of the batch).  Once a node's
+    iterate equals one of its earlier iterates, bitwise, it repeats that
+    cycle forever, so its later iterates and step tests are copied from
+    its history instead of evaluated again.  That changes no bit of the
+    result; it only stops re-evaluating nodes that bounce between
+    neighbouring doubles while others still move.
     """
     seeds = np.asarray(seeds, dtype=float)
-    if np.any(seeds <= 0) or np.any(np.diff(seeds) <= 0):
-        raise ValueError("seeds must be positive and strictly increasing")
+    if not (seeds.ndim == 1 and seeds.size and np.all(np.isfinite(seeds))
+            and np.all(seeds > 0) and np.all(np.diff(seeds) > 0)):
+        raise ValueError("seeds must be a nonempty 1-D array of finite, "
+                         "positive, strictly increasing values")
 
     lo = np.empty_like(seeds)
     hi = np.empty_like(seeds)
@@ -122,16 +134,30 @@ def refine_newton(alpha: float, N: int, seeds: np.ndarray) -> np.ndarray:
     hi[-1], hi[:-1] = seeds[-1] * 2.0 + 1.0, mids
 
     params = LagParams(alpha=alpha, n=N + 1)
-    x = seeds.copy()
-    for _ in range(_NEWTON_MAX_ITERS):
-        val, der = fun_value_deriv_stable(params, x)
-        # L / L' = Lhat / (Lhat' + Lhat / 2): the exp(-x/2) scale cancels
-        step = val / (der + 0.5 * val)
-        x_new = x - step
-        if np.all(np.abs(step) <= _NEWTON_REL_STEP_TOL * x):
-            x = x_new
+    # row k of xs is the k-th iterate, row k of small the k-th step test;
+    # period[j] > 0 once node j's iterate repeated the one period[j] back
+    xs = np.empty((_NEWTON_MAX_ITERS + 1, seeds.size))
+    small = np.empty((_NEWTON_MAX_ITERS, seeds.size), dtype=bool)
+    period = np.zeros(seeds.size, dtype=np.intp)
+    xs[0] = seeds
+    for k in range(_NEWTON_MAX_ITERS):
+        cyc = np.flatnonzero(period)
+        xs[k + 1, cyc] = xs[k + 1 - period[cyc], cyc]
+        small[k, cyc] = small[k - period[cyc], cyc]
+        live = np.flatnonzero(period == 0)
+        if live.size:
+            x = xs[k, live]
+            val, der = fun_value_deriv_stable(params, x)
+            # L / L' = Lhat / (Lhat' + Lhat / 2): the exp(-x/2) scale cancels
+            step = val / (der + 0.5 * val)
+            xs[k + 1, live] = x - step
+            small[k, live] = np.abs(step) <= _NEWTON_REL_STEP_TOL * x
+            # hit[i]: the new iterate equals iterate k - i (period i + 1)
+            hit = xs[k::-1, live] == xs[k + 1, live]
+            period[live] = np.where(hit.any(axis=0), hit.argmax(axis=0) + 1, 0)
+        if small[k].all():
             break
-        x = x_new
+    x = xs[k + 1].copy()
     escaped = (x <= lo) | (x >= hi)
     if np.any(escaped):
         warnings.warn(

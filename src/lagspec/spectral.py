@@ -97,11 +97,16 @@ def basis_matrices(N: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``psi[n] = Lhat_n(y) - Lhat_{n+1}(y)`` and the closed-form derivative
     ``dpsi[n] = (Lhat_n(y) + Lhat_{n+1}(y)) / 2``.
     """
-    y = np.asarray(y, dtype=float)
-    lhat = fun_series_stable(LagParams(alpha=0.0, n=N), y)
+    lhat = fun_series_stable(LagParams(alpha=0.0, n=N),
+                             np.asarray(y, dtype=float))
+    return _psi_dpsi(lhat, deriv=True)
+
+
+def _psi_dpsi(lhat: np.ndarray, deriv: bool
+              ) -> tuple[np.ndarray, np.ndarray | None]:
+    # the load rule needs no dpsi, so it is only formed on request
     psi = lhat[:-1] - lhat[1:]
-    dpsi = 0.5 * (lhat[:-1] + lhat[1:])
-    return psi, dpsi
+    return psi, 0.5 * (lhat[:-1] + lhat[1:]) if deriv else None
 
 
 def assemble_system(N: int, gamma_eff: float) -> tuple[np.ndarray, np.ndarray]:
@@ -133,9 +138,8 @@ class _RuleBasis:
 
 def _rule_basis(N: int, K: int, deriv: bool = True) -> _RuleBasis:
     rule = cached_gauss_rule(0.0, K)
-    psi, dpsi = basis_matrices(N, rule.nodes)
-    return _RuleBasis(rule.nodes, rule.fun_weights, psi,
-                      dpsi if deriv else None)
+    lhat = fun_series_stable(LagParams(alpha=0.0, n=N), rule.nodes)
+    return _RuleBasis(rule.nodes, rule.fun_weights, *_psi_dpsi(lhat, deriv))
 
 
 def _load_basis(N: int, M: int) -> _RuleBasis:

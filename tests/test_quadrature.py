@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import roots_genlaguerre, roots_laguerre
 
+from lagspec import quadrature
 from lagspec.quadrature import (
     GaussRule,
     RuleKind,
@@ -15,6 +18,33 @@ from lagspec.quadrature import (
     nodes_eigen_seed,
     refine_newton,
 )
+from lagspec.recurrence import LagParams, fun_value_deriv_stable
+
+# the seeded alpha of the benchmark's last rule (seed 1): its nodes cycle
+# with period 4
+BENCH_ALPHA = 0.7015463661686019
+
+
+def _plain_newton(alpha, N, seeds):
+    """Newton polish that evaluates every node on every iteration, the
+    loop ``refine_newton`` must match bit for bit."""
+    params = LagParams(alpha=alpha, n=N + 1)
+    x = np.asarray(seeds, dtype=float).copy()
+    for _ in range(quadrature._NEWTON_MAX_ITERS):
+        val, der = fun_value_deriv_stable(params, x)
+        step = val / (der + 0.5 * val)
+        x_new = x - step
+        if np.all(np.abs(step) <= quadrature._NEWTON_REL_STEP_TOL * x):
+            x = x_new
+            break
+        x = x_new
+    return x
+
+
+def _assert_matches_plain_newton(alpha, N):
+    seeds = nodes_eigen_seed(alpha, N)
+    assert (refine_newton(alpha, N, seeds).tobytes()
+            == _plain_newton(alpha, N, seeds).tobytes())
 
 
 class TestSeeds:
@@ -48,6 +78,66 @@ class TestNewton:
     def test_bad_seeds_rejected(self):
         with pytest.raises(ValueError):
             refine_newton(0.0, 2, np.array([1.0, 0.5, 3.0]))
+
+    @pytest.mark.parametrize("seeds", [
+        [], [[1.0, 2.0], [3.0, 4.0]], 1.0, [1.0, math.nan, 3.0],
+        [1.0, 2.0, math.inf]])
+    def test_bad_seed_arrays_are_usage_errors(self, seeds):
+        with pytest.raises(ValueError, match="seeds"):
+            refine_newton(0.0, 2, np.array(seeds))
+
+    def test_seed_count_need_not_be_n_plus_one(self):
+        seeds = nodes_eigen_seed(0.0, 9)
+        full = refine_newton(0.0, 9, seeds)
+        np.testing.assert_allclose(refine_newton(0.0, 9, seeds[2:6]),
+                                   full[2:6], rtol=4e-15)
+
+    @pytest.mark.parametrize("alpha, N", [
+        (0.0, 2048), (BENCH_ALPHA, 999), (0.0, 2050), (0.0, 999),
+        (1.0, 998)])
+    def test_bitwise_equal_to_plain_loop(self, alpha, N):
+        _assert_matches_plain_newton(alpha, N)
+
+    @settings(max_examples=25, deadline=None)
+    @given(alpha=st.floats(-0.9, 20.0, exclude_min=True),
+           N=st.integers(0, 300))
+    def test_bitwise_equal_to_plain_loop_property(self, alpha, N):
+        _assert_matches_plain_newton(alpha, N)
+
+    # caps 7 and 9 stop these runs after every node has cycled, at a row
+    # of another phase than 10, so they check the copied step tests
+    @pytest.mark.parametrize("cap", [1, 2, 7, 9])
+    @pytest.mark.parametrize("alpha, N", [(0.0, 2048), (BENCH_ALPHA, 999)])
+    def test_bitwise_equal_at_iteration_cap(self, monkeypatch, cap, alpha,
+                                            N):
+        monkeypatch.setattr(quadrature, "_NEWTON_MAX_ITERS", cap)
+        _assert_matches_plain_newton(alpha, N)
+
+    def test_cycled_nodes_not_evaluated_again(self, monkeypatch):
+        # at N = 2048 a few nodes bounce between neighbouring doubles, so
+        # all 10 iterations run; the plain loop evaluates 10 x 2049 points
+        seeds = nodes_eigen_seed(0.0, 2048)
+        expected = _plain_newton(0.0, 2048, seeds)
+        points = []
+
+        def counted(params, x):
+            points.append(np.size(x))
+            return fun_value_deriv_stable(params, x)
+
+        monkeypatch.setattr(quadrature, "fun_value_deriv_stable", counted)
+        nodes = refine_newton(0.0, 2048, seeds)
+        assert sum(points) <= 2.5 * 2049
+        assert nodes.tobytes() == expected.tobytes()
+
+    def test_escaped_node_falls_back_to_seed(self):
+        seeds = nodes_eigen_seed(0.0, 9)
+        # from just below the midpoint of seeds 3 and 4, where L' is
+        # small, Newton leaves node 3's bracket
+        seeds[3] = 0.5 * (seeds[3] + seeds[4]) - 0.02 * (seeds[4] - seeds[3])
+        with pytest.warns(RuntimeWarning, match=r"indices \[3\]"):
+            nodes = refine_newton(0.0, 9, seeds)
+        assert nodes[3] == seeds[3]
+        assert np.all(np.diff(nodes) > 0)
 
 
 class TestGaussRule:

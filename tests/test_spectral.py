@@ -288,16 +288,26 @@ class TestSweepPlan:
 
     def test_one_basis_per_rule_and_n(self, monkeypatch):
         calls = []
-        original = spectral.basis_matrices
+        original = spectral.fun_series_stable
 
-        def counted(N, y):
-            calls.append(N)
-            return original(N, y)
+        def counted(params, y):
+            calls.append(params.n)
+            return original(params, y)
 
-        monkeypatch.setattr(spectral, "basis_matrices", counted)
+        # every basis, from basis_matrices or a rule basis, is one series
+        monkeypatch.setattr(spectral, "fun_series_stable", counted)
         beta_sweep(make_case("u1").problem, [8, 16], self.BETAS)
         # the load-vector rule and the norm rule of each N
         assert sorted(calls) == [8, 8, 16, 16]
+
+    def test_rule_bases_equal_basis_matrices_bitwise(self):
+        load, norms = spectral._load_basis(8, 16), spectral._norm_basis(8, 16)
+        # the load rule's basis is psi only
+        assert load.dpsi is None
+        for rb in (load, norms):
+            psi, dpsi = basis_matrices(8, rb.y)
+            assert rb.psi.tobytes() == psi.tobytes()
+        assert norms.dpsi.tobytes() == dpsi.tobytes()
 
     def test_cells_equal_direct_solve_bitwise(self):
         problem = make_case("u1", k=2.0, gamma=2.0).problem
@@ -323,14 +333,14 @@ class TestSweepPlan:
     def test_failed_basis_marks_only_its_n(self, monkeypatch):
         problem = make_case("u1").problem
         good = beta_sweep(problem, [8, 16], self.BETAS)
-        original = spectral.basis_matrices
+        original = spectral.fun_series_stable
 
-        def broken_at_8(N, y):
-            if N == 8:
+        def broken_at_8(params, y):
+            if params.n == 8:
                 raise ArithmeticError("basis broken at N=8")
-            return original(N, y)
+            return original(params, y)
 
-        monkeypatch.setattr(spectral, "basis_matrices", broken_at_8)
+        monkeypatch.setattr(spectral, "fun_series_stable", broken_at_8)
         cells = beta_sweep(problem, [8, 16], self.BETAS)
         for c, ref in zip(cells, good):
             if c["N"] == 8:
