@@ -10,6 +10,7 @@ import pytest
 
 from lagspec import errmodel, oracle
 from lagspec.cli import NUMERIC_ERROR, USAGE_ERROR, main
+from test_oracle import _mpf_operator_series
 
 
 def _run(capsys, *argv):
@@ -110,6 +111,34 @@ class TestCompare:
         assert code == 0
         assert len(_rows(out)) == 8
         assert mp_series_calls == [7] * 8
+
+    def test_factor_table_shared_across_nodes(self, capsys, mp_series_calls):
+        oracle._step_factors.cache_clear()
+        code, _ = _run(capsys, "compare", "--n", "8")
+        assert code == 0
+        info = oracle._step_factors.cache_info()
+        assert (info.misses, info.hits) == (1, 7)
+        assert mp_series_calls == [7] * 8
+
+
+class TestOracleSeriesBytes:
+    """CSV output is byte-identical with the mpf-operator recurrence."""
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--n", "64"],
+        ["compare", "--n", "64", "--alpha", "0.7015463661686019"],
+        ["errlab", "--x", "0.1", "--n", "400", "--measure"],
+        ["errlab", "--x", "0.1", "--n", "400", "--measure",
+         "--mode", "delta"],
+    ])
+    def test_same_bytes_as_mpf_operators(self, tmp_path, monkeypatch, argv):
+        default, reference = tmp_path / "default.csv", tmp_path / "ref.csv"
+        assert main(argv + ["--out", str(default)]) == 0
+        for module in (oracle, errmodel):
+            monkeypatch.setattr(module, "_poly_series_mpf",
+                                _mpf_operator_series)
+        assert main(argv + ["--out", str(reference)]) == 0
+        assert default.read_bytes() == reference.read_bytes()
 
 
 class TestSolveAndSweep:

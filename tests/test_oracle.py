@@ -7,12 +7,25 @@ import pytest
 from mpmath import mp
 from scipy.special import eval_genlaguerre, roots_laguerre
 
+from lagspec import oracle
 from lagspec.oracle import (
     HpContext,
     _poly_series_mpf,
     hp_eval,
     hp_gauss_nodes_mpf,
 )
+
+
+def _mpf_operator_series(alpha, n: int, x):
+    """The three-term recurrence on mpf operators: the bitwise reference
+    for ``_poly_series_mpf``."""
+    values = [mp.mpf(1)]
+    if n >= 1:
+        values.append(alpha + 1 - x)
+    for k in range(1, n):
+        values.append(((2 * k + alpha + 1 - x) * values[k]
+                       - (k + alpha) * values[k - 1]) / (k + 1))
+    return values
 
 
 class TestContext:
@@ -46,6 +59,79 @@ class TestValues:
         a = hp_eval(hp_ctx, 0.0, 5, 0.1)
         b = hp_eval(hp_ctx, 0.0, 5, float(np.float64(0.1)))
         assert a == b
+
+
+class TestBitwiseSeries:
+    """The raw-libmp series equals the mpf-operator one, tuple for tuple."""
+
+    ALPHAS = [0.0, 0.5, 0.7015463661686019, 1e-9, 3.3, -0.5]
+    DEGREES = [0, 1, 2, 255]
+    XS = [0.0, 1e-300, 0.1, 7.5, 900.0]
+
+    @staticmethod
+    def _wide(num, den):
+        # an mpf carrying more bits than any working precision below
+        with mp.workdps(80):
+            return mp.mpf(num) / den
+
+    def _check(self, alpha, n, digits):
+        with mp.workdps(digits):
+            a = mp.mpf(alpha)
+            for x in [mp.mpf(v) for v in self.XS] + [self._wide(10, 3)]:
+                got = _poly_series_mpf(a, n, x)
+                ref = _mpf_operator_series(a, n, x)
+                assert [v._mpf_ for v in got] == [v._mpf_ for v in ref], (
+                    alpha, n, digits, x)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("n", DEGREES)
+    def test_matches_mpf_operators(self, alpha, n):
+        # 24, 30 and 64 digits, then 24 again, in one process: a factor
+        # table cached at one precision must not serve the other
+        oracle._step_factors.cache_clear()
+        for digits in (24, 30, 64, 24):
+            self._check(alpha, n, digits)
+
+    @pytest.mark.parametrize("digits", [24, 64])
+    def test_wide_inputs_are_not_rounded_first(self, digits):
+        # with alpha wider than mp.prec, 2*k + alpha rounds, so the
+        # factor 2k+alpha+1 shows whether it was rounded once or twice
+        with mp.workdps(digits):
+            a, x = self._wide(10, 7), self._wide(10, 3)
+            got = [v._mpf_ for v in _poly_series_mpf(a, 255, x)]
+            ref = [v._mpf_ for v in _mpf_operator_series(a, 255, x)]
+            assert got == ref
+            # unary plus rounds to mp.prec: the extra bits do matter
+            for ra, rx in ((+a, x), (a, +x)):
+                assert got != [v._mpf_
+                               for v in _mpf_operator_series(ra, 255, rx)]
+
+
+class TestInputs:
+    @pytest.mark.parametrize("alpha, n, x, name", [
+        (0.0, -1, 2.0, "n"),
+        (0.0, -2, 2.0, "n"),
+        (0.0, 2.5, 2.0, "n"),
+        (0.0, 3, float("nan"), "x"),
+        (0.0, 3, float("inf"), "x"),
+        (0.0, 3, float("-inf"), "x"),
+        (float("nan"), 3, 2.0, "alpha"),
+        (float("inf"), 3, 2.0, "alpha"),
+        (-1.0, 3, 2.0, "alpha"),
+        (-2.5, 3, 2.0, "alpha"),
+    ])
+    def test_hp_eval_rejects(self, hp_ctx, alpha, n, x, name):
+        with pytest.raises(ValueError, match=rf"^{name} must"):
+            hp_eval(hp_ctx, alpha, n, x)
+
+    def test_series_rejects_negative_degree(self, hp_ctx):
+        with mp.workdps(hp_ctx.digits):
+            with pytest.raises(ValueError, match="n must"):
+                _poly_series_mpf(mp.mpf(0), -1, mp.mpf(2))
+
+    def test_integer_types_accepted(self, hp_ctx):
+        assert hp_eval(hp_ctx, 0.0, np.int64(5), 0.1) == hp_eval(
+            hp_ctx, 0.0, 5, 0.1)
 
 
 class TestNodes:
