@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -29,6 +30,15 @@ from . import errmodel, oracle, problems, quadrature, recurrence, spectral
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
+
+
+def _float(text: str) -> float:
+    """``type=`` of the float options: an infinity, ``1e400`` included, is
+    a usage error.  NaN passes on to the checks that reject it by name."""
+    value = float(text)
+    if math.isinf(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _fmt(v) -> str:
@@ -89,9 +99,10 @@ def cmd_compare(args) -> int:
     rule = quadrature.cached_gauss_rule(alpha, N - 1)
     ctx = oracle.HpContext(digits=args.digits)
     params = recurrence.LagParams(alpha=alpha, n=N - 1)
+    stable, _ = recurrence.fun_value_deriv_stable(params, rule.nodes)
     rows = []
     with mp.workdps(ctx.digits):
-        for j, xj in enumerate(rule.nodes):
+        for j, (xj, stab) in enumerate(zip(rule.nodes, stable)):
             ref_poly, ref_fun = map(
                 mp.mpf, oracle.hp_eval(ctx, alpha, N - 1, float(xj)))
 
@@ -102,7 +113,6 @@ def cmd_compare(args) -> int:
 
             std = recurrence.eval_poly_standard(params, float(xj)).values[-1]
             mod = recurrence.eval_poly_modified(params, float(xj)).values[-1]
-            stab = recurrence.eval_fun_stable(params, float(xj))
             rows.append((j, _fmt(xj), _fmt(rel(std, ref_poly)),
                          _fmt(rel(mod, ref_poly)), _fmt(rel(stab, ref_fun))))
     _write_rows(args, ["index", "node", "rel_err_standard",
@@ -183,16 +193,16 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=["csv", "json"], default="csv")
 
     sp = sub.add_parser("quad", help="quadrature table")
-    sp.add_argument("--alpha", type=float, default=0.0)
+    sp.add_argument("--alpha", type=_float, default=0.0)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--kind", choices=["gauss", "radau"], default="gauss")
     common(sp)
     sp.set_defaults(func=cmd_quad)
 
     sp = sub.add_parser("eval", help="evaluate a series at one abscissa")
-    sp.add_argument("--alpha", type=float, default=0.0)
+    sp.add_argument("--alpha", type=_float, default=0.0)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--x", type=float, required=True)
+    sp.add_argument("--x", type=_float, required=True)
     sp.add_argument("--method",
                     choices=["standard", "modified", "fun", "stable"],
                     default="stable")
@@ -200,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("compare", help="per-node error comparison")
-    sp.add_argument("--alpha", type=float, default=0.0)
+    sp.add_argument("--alpha", type=_float, default=0.0)
     sp.add_argument("--n", type=int, required=True,
                     help="number of quadrature points; degree n-1 is evaluated")
     sp.add_argument("--digits", type=int, default=24)
@@ -209,17 +219,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def case_args(sp):
         sp.add_argument("--case", choices=["u1", "u2", "u3"], required=True)
-        sp.add_argument("--k", type=float, default=2.0)
-        sp.add_argument("--r", type=float, default=2.5)
-        sp.add_argument("--gamma", type=float, default=2.0)
-        sp.add_argument("--lift-rate", type=float, default=1.0,
+        sp.add_argument("--k", type=_float, default=2.0)
+        sp.add_argument("--r", type=_float, default=2.5)
+        sp.add_argument("--gamma", type=_float, default=2.0)
+        sp.add_argument("--lift-rate", type=_float, default=1.0,
                         dest="lift_rate")
 
     sp = sub.add_parser("solve", help="solve the model equation")
     case_args(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--beta", type=float, default=1.0)
+    sp.add_argument("--beta", type=_float, default=1.0)
     common(sp)
     sp.set_defaults(func=cmd_solve)
 
@@ -231,10 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("errlab", help="round-off model lab")
-    sp.add_argument("--alpha", type=float, default=0.0)
-    sp.add_argument("--x", type=float, required=True)
+    sp.add_argument("--alpha", type=_float, default=0.0)
+    sp.add_argument("--x", type=_float, required=True)
     sp.add_argument("--n", type=int, default=100)
-    sp.add_argument("--eta", type=float, default=0.25)
+    sp.add_argument("--eta", type=_float, default=0.25)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--mode", choices=["standard", "delta"], default="standard")
     sp.add_argument("--measure", action="store_true",

@@ -10,13 +10,14 @@ Three evaluation routes are provided:
 * an adaptive rescaling scheme that folds the exponential prefactor
   ``exp(-x/2)`` into the iteration in small portions, so Laguerre functions
   of degree 1000+ can be evaluated at large arguments without overflow or
-  underflow: ``eval_fun_stable`` for one point, and one array kernel behind
-  ``fun_series_stable`` and ``fun_value_deriv_stable`` that checks for
-  points to rescale every few steps, an interval derived from the largest
-  abscissa and the headroom the rescale threshold ``_K1`` leaves below
-  overflow, and hands back finished values, finalizing a series a few rows
-  at a time.  The thresholds are private constants: no result depends on
-  them beyond the final rounding, and the tests vary them to show it.
+  underflow.  It is written once, as the array kernel behind
+  ``fun_series_stable`` and ``fun_value_deriv_stable``; ``eval_fun_stable``
+  is the kernel's value at one point.  The kernel checks for points to
+  rescale every few steps, an interval derived from the largest abscissa
+  and the headroom the rescale threshold ``_K1`` leaves below overflow,
+  and hands back finished values, finalizing a series a few rows at a
+  time.  The thresholds are private constants: no result depends on them
+  beyond the final rounding, and the tests vary them to show it.
 
 All functions are pure; overflow/underflow in the standard routes is
 deliberately passed through as IEEE infinities/zeros rather than masked,
@@ -83,7 +84,7 @@ class LagSeries:
 # Thresholds of the adaptive rescaling: a rescale starts once |L| > exp(_K1)
 # and brings the value down to about exp(-_K2).  _K1 + _K2 < 80 keeps every
 # intermediate representable in double precision, and _K1 also sets the
-# headroom between the array kernel's checks (see _rescaled_recurrence).
+# headroom between the kernel's checks (see _rescaled_recurrence).
 # Read at call time; no result depends on them beyond the final rounding.
 _K1 = 32.0
 _K2 = 32.0
@@ -100,36 +101,25 @@ _CHECK_MARGIN = 32.0  # nats of slack in the array kernel's check interval
 _FINALIZE_ROWS = 16  # rows per block when finalizing a stored series
 
 
-def _scale_exponent(M, x):
-    """Compensated ``t = M ln 2 - x/2`` as a (head, tail) pair.
+def _finalize(L, M, x):
+    """``exp(-x/2) L_k`` from the kernel's iterates ``L = 2^-M L_k``.
 
-    ``M * _LN2_HI`` is exact for the integer counts arising here; the
-    head/tail split keeps the path-dependent part of the final exponent
-    below one ulp of the result, which is what makes the rescaled
-    evaluation independent of its threshold configuration.
+    ``L`` is split into mantissa and exponent ``e`` first: iterates made
+    under different rescale thresholds differ only by exact powers of two,
+    so from here on the result is bitwise threshold-independent.  The
+    exponent ``t = (M + e) ln 2 - x/2`` is a compensated (head, tail) pair;
+    ``(M + e) * _LN2_HI`` is exact for the integer counts arising here, so
+    the path-dependent part of ``t`` stays below one ulp of the result.
+    The sign is taken from the mantissa: ``1 + t_lo`` turns negative once
+    x/2 has a tail below -1 (x of about 1e16 and up), and an underflowed
+    zero must not follow it.
     """
-    a = M * _LN2_HI
-    b = 0.5 * x
-    s = a - b
-    bv = s - a
-    err = (a - (s - bv)) + (-b - bv)
-    return s, err + M * _LN2_LO
-
-
-def _finalize_scalar(L: float, M: int, x: float) -> float:
-    # canonicalize to mantissa-exponent form first: iterates produced under
-    # different rescale thresholds differ only by exact powers of two, so
-    # after this step the result is bitwise threshold-independent.  The sign
-    # is taken from mant: 1 + t_lo turns negative once x/2 has a tail below
-    # -1 (x of about 1e16 and up), and an underflowed zero must not follow it
-    mant, e = math.frexp(L)
-    t_hi, t_lo = _scale_exponent(M + e, x)
-    return math.copysign(mant * math.exp(t_hi) * (1.0 + t_lo), mant)
-
-
-def _finalize_array(L, M, x):
     mant, e = np.frexp(L)
-    t_hi, t_lo = _scale_exponent((np.asarray(M) + e).astype(float), x)
+    me = (np.asarray(M) + e).astype(float)
+    a, b = me * _LN2_HI, 0.5 * x
+    t_hi = a - b
+    bv = t_hi - a
+    t_lo = (a - (t_hi - bv)) + (-b - bv) + me * _LN2_LO
     out = mant * np.exp(t_hi) * (1.0 + t_lo)
     return np.copysign(out, mant, out=out)
 
@@ -227,53 +217,26 @@ def eval_fun_modified(params: LagParams, x: float) -> LagSeries:
 
 
 def eval_fun_stable(params: LagParams, x: float) -> float:
-    """Overflow/underflow-safe evaluation of ``exp(-x/2) L_n(x)``.
+    """Overflow/underflow-safe ``exp(-x/2) L_n(x)`` at one abscissa: the
+    value of :func:`fun_value_deriv_stable`, as a Python float.
 
-    Runs the difference recurrence on partially weighted values.  A budget
-    ``x_b = x/2`` of exponent remains to be applied; whenever the iterate
-    grows past ``exp(_K1)`` (and unconditionally on the first step) a chunk
-    ``x_c = min(max(log|L| + _K2, 0), x_b)`` of the weight is folded in and
-    deducted from the budget.  Each chunk is applied as an exact power of
-    two, and the leftover exponent goes through a compensated split at the
-    end, so the result does not depend on ``(_K1, _K2)`` beyond the final
-    rounding.
-
-    A Python-float loop on purpose: callers pass one abscissa at a time,
-    where the array kernel's numpy calls cost about 30 times more.
+    Each call runs the array kernel's n steps for one point, so callers
+    with many abscissae make one array call instead.
     """
-    x = _check_x(x)
-    alpha, n = params.alpha, params.n
-    if n <= 1:
-        return (1.0 if n == 0 else 1.0 + alpha - x) * math.exp(-x / 2.0)
-
-    big = math.exp(_K1)
-    L = 1.0 + alpha - x
-    dL = alpha - x
-    M = 0  # halvings applied so far: stored L is 2^-M times the true one
-    half_x = 0.5 * x
-    for k in range(1, n):
-        dL = ((k + alpha) * dL - x * L) / (k + 1.0)
-        L = L + dL
-        if (k == 1 or abs(L) > big) and L != 0.0 and math.isfinite(L):
-            xb = max(half_x - M * _LN2, 0.0)
-            xc = min(max(math.log(abs(L)) + _K2, 0.0), xb)
-            m = int(xc / _LN2)
-            if m > 0:
-                L = math.ldexp(L, -m)
-                dL = math.ldexp(dL, -m)
-                M += m
-        if not math.isfinite(L):
-            raise ArithmeticError(f"non-finite intermediate at step {k}")
-    return _finalize_scalar(L, M, x)
+    return float(fun_value_deriv_stable(params, float(x))[0])
 
 
 def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
                          out: np.ndarray | None = None):
-    """:func:`eval_fun_stable`'s recurrence at many abscissae, finished.
+    """The rescaled difference recurrence at many abscissae, finished.
 
-    Rescales every point on the first step, then, every ``every`` steps,
-    only the points with ``|L| > exp(_K1)``; the ``2^-M``-scaled iterates
-    never leave this function.  Fills ``out``, shape ``(n+1, npts)``, with
+    Runs the difference recurrence on partially weighted values.  A budget
+    ``x_b = x/2`` of exponent remains to be applied; at a check, each point
+    whose iterate grew past ``exp(_K1)`` (every point on the first step)
+    has a chunk ``x_c = min(max(log|L| + _K2, 0), x_b)`` of the weight
+    folded in as an exact power of two and deducted from the budget.
+    Checks come every ``every`` steps; the ``2^-M``-scaled iterates never
+    leave this function.  Fills ``out``, shape ``(n+1, npts)``, with
     ``exp(-x/2) L_k``, finalizing the rows made since the last block before
     a check can change ``M`` and once ``_FINALIZE_ROWS`` wait, so the
     finalizer's temporaries stay block-sized.  Without ``out`` (``n >= 1``)
@@ -313,7 +276,7 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
         if out is not None:
             out[k + 1] = L
             if check or k + 2 - done >= _FINALIZE_ROWS:
-                out[done:k + 2] = _finalize_array(out[done:k + 2], M, xs)
+                out[done:k + 2] = _finalize(out[done:k + 2], M, xs)
                 done = k + 2
         if check:
             idx = (np.arange(xs.size) if k == 1
@@ -329,8 +292,8 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
     if not all(np.isfinite(v).all() for v in (L,) + sums):
         raise ArithmeticError("non-finite intermediate in rescaled recurrence")
     if out is None:
-        return _finalize_array(L, M, xs), _finalize_array(S - L, M, xs)
-    out[done:] = _finalize_array(out[done:], M, xs)
+        return _finalize(L, M, xs), _finalize(S - L, M, xs)
+    out[done:] = _finalize(out[done:], M, xs)
 
 
 def _abscissae(x) -> np.ndarray:
@@ -345,9 +308,9 @@ def fun_series_stable(params: LagParams, x) -> np.ndarray:
     """Stable Laguerre-function series at one or many abscissae.
 
     Every entry is the partially weighted iterate finalized through the
-    compensated leftover exponent, as in :func:`eval_fun_stable`.  Early
-    entries whose true magnitude is below the double-precision range come
-    out as exact zeros.
+    compensated leftover exponent (see ``_finalize``).  Early entries whose
+    true magnitude is below the double-precision range come out as exact
+    zeros.
 
     Returns an array of shape ``(n+1,)`` for scalar ``x`` or
     ``(n+1, len(x))`` for array ``x``.

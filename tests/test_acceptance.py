@@ -106,8 +106,8 @@ def test_criterion_3_stability_at_scale():
     assert np.all(np.isfinite(rule.nodes))
     assert np.all(np.isfinite(rule.weights))
     assert np.all(np.isfinite(rule.fun_weights))
-    params = LagParams(alpha=0.0, n=999)
-    vals = np.array([eval_fun_stable(params, float(x)) for x in rule.nodes])
+    vals, _ = recurrence.fun_value_deriv_stable(LagParams(alpha=0.0, n=999),
+                                                rule.nodes)
     assert np.all(np.isfinite(vals))
 
     # negative test: the plain recurrence for the degree-(P-1) polynomial at

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from lagspec import errmodel, oracle
+from lagspec import errmodel, oracle, recurrence
 from lagspec.cli import NUMERIC_ERROR, USAGE_ERROR, main
 from test_oracle import _mpf_operator_series
 
@@ -111,6 +111,22 @@ class TestCompare:
         assert code == 0
         assert len(_rows(out)) == 8
         assert mp_series_calls == [7] * 8
+
+    def test_one_stable_kernel_call_over_all_nodes(self, capsys, monkeypatch):
+        # eval_fun_stable goes through the same name, so a per-node stable
+        # column would be counted here too
+        original = recurrence.fun_value_deriv_stable
+        sizes = []
+
+        def counted(params, x):
+            sizes.append(np.size(x))
+            return original(params, x)
+
+        monkeypatch.setattr(recurrence, "fun_value_deriv_stable", counted)
+        code, out = _run(capsys, "compare", "--n", "8")
+        assert code == 0
+        assert len(_rows(out)) == 8
+        assert sizes == [8]
 
     def test_factor_table_shared_across_nodes(self, capsys, mp_series_calls):
         oracle._step_factors.cache_clear()
@@ -220,6 +236,22 @@ class TestExitCodes:
         code = main(argv)
         assert code == USAGE_ERROR
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["errlab", "--x", "inf"],
+        ["errlab", "--x", "0.1", "--alpha", "inf"],
+        ["compare", "--n", "4", "--alpha", "inf"],
+        ["quad", "--n", "4", "--alpha", "inf"],
+        ["eval", "--n", "3", "--x", "inf"],
+        ["eval", "--n", "3", "--x=-inf"],
+        ["eval", "--n", "3", "--x", "1e400"],
+        ["errlab", "--x", "0.1", "--eta", "inf"],
+        ["solve", "--case", "u2", "--n", "8", "--r", "inf"],
+        ["solve", "--case", "u2", "--n", "8", "--lift-rate", "inf"]])
+    def test_usage_error_from_infinite_number(self, capsys, argv):
+        code = main(argv)
+        assert code == USAGE_ERROR
+        assert "must be finite" in capsys.readouterr().err
 
     def test_usage_error_from_parser(self, capsys):
         code = main(["quad"])  # missing required --n

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
 from lagspec import recurrence
+from lagspec.oracle import hp_eval
 from lagspec.quadrature import gauss_rule
 from lagspec.recurrence import (
     LagParams,
@@ -171,11 +172,25 @@ class TestFunctionRoutes:
             np.testing.assert_allclose(arr[:, j], fun_series_stable(p, float(x)),
                                        rtol=1e-12)
 
-    def test_series_stable_matches_scalar_stable(self):
+    def test_series_stable_matches_oracle(self, hp_ctx):
         p = LagParams(0.0, 200)
         for x in (1.0, 300.0, 700.0):
-            series = fun_series_stable(p, x)
-            assert series[-1] == pytest.approx(eval_fun_stable(p, x), rel=1e-11)
+            ref = float(hp_eval(hp_ctx, 0.0, 200, x)[1])
+            assert fun_series_stable(p, x)[-1] == pytest.approx(ref, rel=1e-11)
+
+    @pytest.mark.parametrize("x", [0.0, 0.3, 40.0, 3000.0])
+    @pytest.mark.parametrize("n", [0, 1, 2, 500])
+    def test_eval_fun_stable_is_kernel_value(self, n, x):
+        p = LagParams(0.5, n)
+        val = eval_fun_stable(p, x)
+        assert type(val) is float
+        assert np.float64(val).tobytes() == \
+            np.float64(fun_value_deriv_stable(p, x)[0]).tobytes()
+
+    @pytest.mark.parametrize("x", [float("nan"), -0.5])
+    def test_eval_fun_stable_rejects_bad_abscissa(self, x):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            eval_fun_stable(LagParams(0.5, 3), x)
 
     def test_value_deriv_value_matches_series(self):
         p = LagParams(0.0, 80)
@@ -304,13 +319,14 @@ class TestRescaledKernel:
             assert peak <= 1.6 * out.nbytes, \
                 f"peak {peak / out.nbytes:.2f}x result, x_max {xs[-1]}"
 
-    def test_views_agree_with_scalar_route(self, nodes_2049):
+    def test_views_agree_with_oracle(self, nodes_2049, hp_ctx):
         p = LagParams(0.0, 2048)
         xs = nodes_2049[-5:]
-        scalar = np.array([eval_fun_stable(p, float(x)) for x in xs])
+        ref = np.array([float(hp_eval(hp_ctx, 0.0, 2048, float(x))[1])
+                        for x in xs])
         val, _ = fun_value_deriv_stable(p, xs)
-        np.testing.assert_allclose(val, scalar, rtol=1e-11, atol=0.0)
-        np.testing.assert_allclose(fun_series_stable(p, xs)[-1], scalar,
+        np.testing.assert_allclose(val, ref, rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(fun_series_stable(p, xs)[-1], ref,
                                    rtol=1e-11, atol=0.0)
 
 
