@@ -99,22 +99,23 @@ def cmd_compare(args) -> int:
     rule = quadrature.cached_gauss_rule(alpha, N - 1)
     ctx = oracle.HpContext(digits=args.digits)
     params = recurrence.LagParams(alpha=alpha, n=N - 1)
+    # one call per route; a copied last row frees each full series at once
+    std = recurrence.eval_poly_standard(params, rule.nodes).values[-1].copy()
+    mod = recurrence.eval_poly_modified(params, rule.nodes).values[-1].copy()
     stable, _ = recurrence.fun_value_deriv_stable(params, rule.nodes)
+
+    def rel(v, ref):
+        if not np.isfinite(v):
+            return float("nan")
+        return float(abs((mp.mpf(float(v)) - ref) / ref))
+
     rows = []
     with mp.workdps(ctx.digits):
-        for j, (xj, stab) in enumerate(zip(rule.nodes, stable)):
+        for j, (xj, s, m, f) in enumerate(zip(rule.nodes, std, mod, stable)):
             ref_poly, ref_fun = map(
                 mp.mpf, oracle.hp_eval(ctx, alpha, N - 1, float(xj)))
-
-            def rel(v, ref):
-                if not np.isfinite(v):
-                    return float("nan")
-                return float(abs((mp.mpf(float(v)) - ref) / ref))
-
-            std = recurrence.eval_poly_standard(params, float(xj)).values[-1]
-            mod = recurrence.eval_poly_modified(params, float(xj)).values[-1]
-            rows.append((j, _fmt(xj), _fmt(rel(std, ref_poly)),
-                         _fmt(rel(mod, ref_poly)), _fmt(rel(stab, ref_fun))))
+            rows.append((j, _fmt(xj), _fmt(rel(s, ref_poly)),
+                         _fmt(rel(m, ref_poly)), _fmt(rel(f, ref_fun))))
     _write_rows(args, ["index", "node", "rel_err_standard",
                        "rel_err_modified", "rel_err_stable"], rows)
     return 0

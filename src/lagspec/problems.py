@@ -8,14 +8,14 @@ Three exact solutions are provided:
 
 ``u2`` does not vanish at the origin; it is handled by subtracting a
 lifting ``u2(0) exp(-c x)`` whose contribution to the right-hand side is
-known in closed form.  The solver then works on the homogeneous remainder
-and the lifting is added back at evaluation time.
+known in closed form.  The solver works on the homogeneous remainder
+``u2 - lift``, and errors are measured on that remainder.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,11 +26,9 @@ __all__ = ["CaseSetup", "make_case"]
 
 @dataclass
 class CaseSetup:
-    """A model problem plus the lifting needed to recover the full solution."""
+    """A named benchmark case: the model problem the solver is given."""
 
     problem: ModelProblem
-    lift: Callable[[np.ndarray], np.ndarray] | None = None
-    lift_prime: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def _u1(k: float, gamma: float) -> CaseSetup:
@@ -58,25 +56,19 @@ def _u2(r: float, gamma: float, lift_rate: float) -> CaseSetup:
         return (-r * (r + 1.0) * (1.0 + x) ** (-r - 2.0)
                 + gamma * (1.0 + x) ** (-r))
 
-    def lift(x):
-        return np.exp(-c * x)
-
-    def lift_prime(x):
-        return -c * np.exp(-c * x)
-
-    # -lift'' + gamma lift = (gamma - c^2) exp(-c x)
+    # lift = exp(-c x): -lift'' + gamma lift = (gamma - c^2) exp(-c x)
     def f_lifted(x):
         return f_full(x) - (gamma - c * c) * np.exp(-c * x)
 
     def u_lifted(x):
-        return u_full(x) - lift(x)
+        return u_full(x) - np.exp(-c * x)
 
     def up_lifted(x):
-        return -r * (1.0 + x) ** (-r - 1.0) - lift_prime(x)
+        return -r * (1.0 + x) ** (-r - 1.0) + c * np.exp(-c * x)
 
     problem = ModelProblem(gamma=gamma, f=f_lifted, u_exact=u_lifted,
                            u_exact_prime=up_lifted)
-    return CaseSetup(problem, lift=lift, lift_prime=lift_prime)
+    return CaseSetup(problem)
 
 
 def _u3(k: float, r: float, gamma: float) -> CaseSetup:
@@ -98,7 +90,14 @@ def _u3(k: float, r: float, gamma: float) -> CaseSetup:
 
 def make_case(name: str, k: float = 2.0, r: float = 2.5, gamma: float = 2.0,
               lift_rate: float = 1.0) -> CaseSetup:
-    """Build one of the named benchmark cases."""
+    """Build one of the named benchmark cases.
+
+    ``k``, ``r`` and ``lift_rate`` must be finite, even where the case
+    ignores them.
+    """
+    for param, value in (("k", k), ("r", r), ("lift_rate", lift_rate)):
+        if not math.isfinite(value):
+            raise ValueError(f"{param} must be finite, got {value}")
     if name == "u1":
         return _u1(k, gamma)
     if name == "u2":

@@ -19,6 +19,8 @@ Three evaluation routes are provided:
   time.  The thresholds are private constants: no result depends on them
   beyond the final rounding, and the tests vary them to show it.
 
+Every evaluator takes a scalar ``x`` (a series of shape ``(n+1,)``) or an
+array (shape ``(n+1, npts)``, column ``j`` bitwise the series at ``x[j]``).
 All functions are pure; overflow/underflow in the standard routes is
 deliberately passed through as IEEE infinities/zeros rather than masked,
 since callers use it to detect where the stable route is required.
@@ -67,16 +69,16 @@ class LagParams:
 
 @dataclass
 class LagSeries:
-    """Values ``L_0 .. L_n`` at one abscissa.
+    """Values ``L_0 .. L_n`` at one abscissa or an array of them.
 
     ``values[k]`` holds either the polynomial ``L_k(x)`` or the function
     ``exp(-x/2) L_k(x)`` depending on which routine produced the series.
     ``deltas[k-1] = values[k] - values[k-1]`` when the difference form was
-    used.
+    used.  An array ``x`` of ``npts`` abscissae adds a trailing axis.
     """
 
     params: LagParams
-    x: float
+    x: float | np.ndarray
     values: np.ndarray
     deltas: np.ndarray | None = None
 
@@ -124,51 +126,58 @@ def _finalize(L, M, x):
     return np.copysign(out, mant, out=out)
 
 
-def _check_x(x: float) -> float:
-    x = float(x)
-    if not x >= 0.0:
-        raise ValueError(f"abscissa must be >= 0, got {x}")
-    return x
+def _abscissae(x):
+    """``x`` checked >= 0 (not NaN), in its shape; a scalar comes back as a
+    NumPy scalar, as the plain loops run slower on a 0-d array."""
+    xs = np.asarray(x, dtype=float)
+    if not np.all(xs >= 0):
+        bad = xs[~(xs >= 0)][0]
+        raise ValueError(f"abscissae must be >= 0, got {bad}")
+    return xs[()]
 
 
 # The plain and difference loops start from ``w L_0`` and ``w L_1`` (or
 # ``w dL_1``): ``w = 1`` gives the polynomials, ``w = exp(-x/2)`` the
 # functions; a product with 1.0 is exact, so both keep their arithmetic.
-def _three_term(params: LagParams, x: float, w: float) -> LagSeries:
+# ``w`` is ``math.exp`` at each point (``np.exp`` moves some by an ulp).
+_exp = np.vectorize(math.exp, otypes=[float])
+
+
+def _three_term(params: LagParams, xs: np.ndarray, w) -> LagSeries:
     alpha, n = params.alpha, params.n
-    values = np.empty(n + 1)
+    values = np.empty((n + 1,) + xs.shape)
     values[0] = w
     if n >= 1:
-        values[1] = (alpha + 1.0 - x) * w
+        values[1] = (alpha + 1.0 - xs) * w
     for k in range(1, n):
-        values[k + 1] = ((2.0 * k + alpha + 1.0 - x) * values[k]
+        values[k + 1] = ((2.0 * k + alpha + 1.0 - xs) * values[k]
                          - (k + alpha) * values[k - 1]) / (k + 1.0)
-    return LagSeries(params=params, x=x, values=values)
+    return LagSeries(params=params, x=xs, values=values)
 
 
-def _difference(params: LagParams, x: float, w: float) -> LagSeries:
+def _difference(params: LagParams, xs: np.ndarray, w) -> LagSeries:
     alpha, n = params.alpha, params.n
-    values = np.empty(n + 1)
-    deltas = np.empty(max(n, 0))
+    values = np.empty((n + 1,) + xs.shape)
+    deltas = np.empty((n,) + xs.shape)
     values[0] = w
     if n >= 1:
-        deltas[0] = (alpha - x) * w
+        deltas[0] = (alpha - xs) * w
         values[1] = values[0] + deltas[0]
     for k in range(1, n):
-        deltas[k] = ((k + alpha) * deltas[k - 1] - x * values[k]) / (k + 1.0)
+        deltas[k] = ((k + alpha) * deltas[k - 1] - xs * values[k]) / (k + 1.0)
         values[k + 1] = values[k] + deltas[k]
-    return LagSeries(params=params, x=x, values=values, deltas=deltas)
+    return LagSeries(params=params, x=xs, values=values, deltas=deltas)
 
 
-def eval_poly_standard(params: LagParams, x: float) -> LagSeries:
+def eval_poly_standard(params: LagParams, x) -> LagSeries:
     """Evaluate ``L_0(x) .. L_n(x)`` by the classical three-term recurrence.
 
     (k+1) L_{k+1} = (2k + alpha + 1 - x) L_k - (k + alpha) L_{k-1}.
     """
-    return _three_term(params, _check_x(x), 1.0)
+    return _three_term(params, _abscissae(x), 1.0)
 
 
-def eval_poly_modified(params: LagParams, x: float) -> LagSeries:
+def eval_poly_modified(params: LagParams, x) -> LagSeries:
     """Evaluate ``L_0(x) .. L_n(x)`` via the difference recurrence.
 
     Propagating ``dL_k = L_k - L_{k-1}`` avoids storing the coefficient
@@ -178,7 +187,7 @@ def eval_poly_modified(params: LagParams, x: float) -> LagSeries:
         dL_{k+1} = ((k+alpha) dL_k - x L_k) / (k+1),
         L_{k+1}  = L_k + dL_{k+1}.
     """
-    return _difference(params, _check_x(x), 1.0)
+    return _difference(params, _abscissae(x), 1.0)
 
 
 def eval_poly_derivative(series: LagSeries) -> np.ndarray:
@@ -187,33 +196,32 @@ def eval_poly_derivative(series: LagSeries) -> np.ndarray:
     Uses ``L_{k+1}' = L_k' - L_k`` (equivalently the derivative is minus
     the partial sum of lower-degree values).
     """
-    n = series.params.n
     values = series.values
-    derivs = np.empty(n + 1)
+    derivs = np.empty_like(values)
     derivs[0] = 0.0
-    for k in range(n):
+    for k in range(series.params.n):
         derivs[k + 1] = derivs[k] - values[k]
     return derivs
 
 
-def eval_fun_standard(params: LagParams, x: float) -> LagSeries:
+def eval_fun_standard(params: LagParams, x) -> LagSeries:
     """Laguerre functions ``exp(-x/2) L_k(x)`` via the direct recurrence.
 
     The whole prefactor is applied up front; for large ``x`` it underflows
     to zero and the entire series collapses.  That failure mode is passed
     through on purpose -- use the stable route when it matters.
     """
-    x = _check_x(x)
-    return _three_term(params, x, math.exp(-x / 2.0))
+    xs = _abscissae(x)
+    return _three_term(params, xs, _exp(-xs / 2.0))
 
 
-def eval_fun_modified(params: LagParams, x: float) -> LagSeries:
+def eval_fun_modified(params: LagParams, x) -> LagSeries:
     """Laguerre functions via the difference recurrence.
 
     Same underflow caveat as :func:`eval_fun_standard`.
     """
-    x = _check_x(x)
-    return _difference(params, x, math.exp(-x / 2.0))
+    xs = _abscissae(x)
+    return _difference(params, xs, _exp(-xs / 2.0))
 
 
 def eval_fun_stable(params: LagParams, x: float) -> float:
@@ -296,14 +304,6 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
     out[done:] = _finalize(out[done:], M, xs)
 
 
-def _abscissae(x) -> np.ndarray:
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(xs >= 0):
-        bad = xs[~(xs >= 0)][0]
-        raise ValueError(f"abscissae must be >= 0, got {bad}")
-    return xs
-
-
 def fun_series_stable(params: LagParams, x) -> np.ndarray:
     """Stable Laguerre-function series at one or many abscissae.
 
@@ -315,7 +315,7 @@ def fun_series_stable(params: LagParams, x) -> np.ndarray:
     Returns an array of shape ``(n+1,)`` for scalar ``x`` or
     ``(n+1, len(x))`` for array ``x``.
     """
-    xs = _abscissae(x)
+    xs = np.atleast_1d(_abscissae(x))
     out = np.empty((params.n + 1, xs.size))
     _rescaled_recurrence(params.alpha, params.n, xs, out)
     return out[:, 0] if np.ndim(x) == 0 else out
@@ -331,7 +331,7 @@ def fun_value_deriv_stable(params: LagParams, x):
     for Newton refinement of quadrature nodes.
     """
     alpha, n = params.alpha, params.n
-    xs = _abscissae(x)
+    xs = np.atleast_1d(_abscissae(x))
     if n <= 1:
         w = np.exp(-xs / 2.0)
         val = w if n == 0 else (1.0 + alpha - xs) * w
@@ -343,19 +343,17 @@ def fun_value_deriv_stable(params: LagParams, x):
     return (val[0], der[0]) if np.ndim(x) == 0 else (val, der)
 
 
-def eval_fun_derivative(params: LagParams, x: float) -> np.ndarray:
+def eval_fun_derivative(params: LagParams, x) -> np.ndarray:
     """Derivative series of the Laguerre functions at ``x``.
 
     d/dx [exp(-x/2) L_{k+1}] = previous - half the two neighbouring
     function values; the function values themselves come from the stable
     series.
     """
-    x = _check_x(x)
-    n = params.n
     values = fun_series_stable(params, x)
-    derivs = np.empty(n + 1)
+    derivs = np.empty_like(values)
     derivs[0] = -0.5 * values[0]
-    for k in range(n):
+    for k in range(params.n):
         derivs[k + 1] = derivs[k] - 0.5 * values[k] - 0.5 * values[k + 1]
     return derivs
 

@@ -114,19 +114,25 @@ class TestCompare:
 
     def test_one_stable_kernel_call_over_all_nodes(self, capsys, monkeypatch):
         # eval_fun_stable goes through the same name, so a per-node stable
-        # column would be counted here too
-        original = recurrence.fun_value_deriv_stable
-        sizes = []
+        # column would be counted here too; the standard and modified
+        # columns likewise come from one array call each
+        names = ("fun_value_deriv_stable", "eval_poly_standard",
+                 "eval_poly_modified")
+        sizes = {name: [] for name in names}
 
-        def counted(params, x):
-            sizes.append(np.size(x))
-            return original(params, x)
+        def counted(name, original):
+            def route(params, x):
+                sizes[name].append(np.size(x))
+                return original(params, x)
+            return route
 
-        monkeypatch.setattr(recurrence, "fun_value_deriv_stable", counted)
+        for name in names:
+            monkeypatch.setattr(recurrence, name,
+                                counted(name, getattr(recurrence, name)))
         code, out = _run(capsys, "compare", "--n", "8")
         assert code == 0
         assert len(_rows(out)) == 8
-        assert sizes == [8]
+        assert sizes == {name: [8] for name in names}
 
     def test_factor_table_shared_across_nodes(self, capsys, mp_series_calls):
         oracle._step_factors.cache_clear()
@@ -231,7 +237,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["solve", "--case", "u1", "--n", "8", "--beta", "0"],
         ["eval", "--n", "3", "--x", "nan", "--method", "stable"],
-        ["solve", "--case", "u1", "--n", "8", "--beta", "1e200"]])
+        ["solve", "--case", "u1", "--n", "8", "--beta", "1e200"],
+        ["solve", "--case", "u2", "--n", "8", "--r", "nan"],
+        ["solve", "--case", "u2", "--n", "8", "--lift-rate", "nan"],
+        ["solve", "--case", "u1", "--n", "8", "--k", "nan"],
+        ["solve", "--case", "u3", "--n", "8", "--k", "nan"],
+        ["solve", "--case", "u1", "--n", "8", "--r", "nan"],
+        ["sweep", "--case", "u3", "--n-list", "8", "--beta-list", "1",
+         "--r", "nan"]])
     def test_usage_error_from_bad_input(self, capsys, argv):
         code = main(argv)
         assert code == USAGE_ERROR

@@ -43,7 +43,10 @@ class TestParams:
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_nan_abscissa_rejected_on_array_routes(self, n):
         xs = np.array([0.5, np.nan, 2.0])
-        for route in (fun_series_stable, fun_value_deriv_stable):
+        for route in (fun_series_stable, fun_value_deriv_stable,
+                      eval_poly_standard, eval_poly_modified,
+                      eval_fun_standard, eval_fun_modified,
+                      eval_fun_derivative):
             with pytest.raises(ValueError, match="got nan"):
                 route(LagParams(0.0, n), xs)
 
@@ -216,6 +219,52 @@ class TestFunctionRoutes:
         val, der = fun_value_deriv_stable(LagParams(0.0, 1), 2.0)
         assert val == pytest.approx(-w)
         assert der == pytest.approx(-0.5 * w)
+
+
+# zero, a tiny point, a spread of moderate ones, and 1500 and
+# 3000, where the plain function routes underflow and the plain polynomial
+# routes overflow at high degree
+_CONVENTION_XS = np.concatenate([[0.0, 1e-300, 1500.0, 3000.0],
+                                 np.geomspace(1e-3, 900.0, 46)])
+
+
+def _route_arrays(route, p, x):
+    """Every array one of the six plain-convention evaluators returns."""
+    if route == "poly_derivative":
+        return [eval_poly_derivative(eval_poly_standard(p, x)),
+                eval_poly_derivative(eval_poly_modified(p, x))]
+    if route == "fun_derivative":
+        return [eval_fun_derivative(p, x)]
+    series = {"poly_standard": eval_poly_standard,
+              "poly_modified": eval_poly_modified,
+              "fun_standard": eval_fun_standard,
+              "fun_modified": eval_fun_modified}[route](p, x)
+    return [series.values] + ([] if series.deltas is None
+                              else [series.deltas])
+
+
+class TestArrayConvention:
+    """An array of abscissae gives, column by column, the bits and the
+    shapes (plus a trailing axis) of the per-point scalar calls."""
+
+    @pytest.mark.parametrize("route", [
+        "poly_standard", "poly_modified", "fun_standard", "fun_modified",
+        "poly_derivative", "fun_derivative"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, 255])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, -0.5])
+    def test_array_call_equals_point_calls_bitwise(self, route, n, alpha):
+        p = LagParams(alpha, n)
+        xs = _CONVENTION_XS
+        with np.errstate(over="ignore", invalid="ignore"):
+            arrays = _route_arrays(route, p, xs)
+            assert arrays[0].shape == (n + 1, xs.size)
+            for j, x in enumerate(xs):
+                points = _route_arrays(route, p, float(x))
+                assert len(points) == len(arrays)
+                for arr, pt in zip(arrays, points):
+                    assert arr.shape == pt.shape + (xs.size,)
+                    assert arr[:, j].tobytes() == pt.tobytes(), \
+                        f"x = {x}"
 
 
 @pytest.fixture(scope="module")

@@ -376,13 +376,19 @@ class TestBenchmarkCases:
     def test_u2_lifted_solution_vanishes_at_origin(self):
         case = make_case("u2")
         assert case.problem.u_exact(np.array([0.0]))[0] == pytest.approx(0.0)
-        assert case.lift(np.array([0.0]))[0] == pytest.approx(1.0)
 
     def test_u2_full_solution_recovered_with_lift(self):
-        case = make_case("u2", r=2.5)
+        # the solver's problem is the remainder u2 - exp(-c x)
+        case = make_case("u2", r=2.5, lift_rate=0.5)
         x = np.linspace(0.0, 5.0, 11)
-        full = case.problem.u_exact(x) + case.lift(x)
+        full = case.problem.u_exact(x) + np.exp(-0.5 * x)
         np.testing.assert_allclose(full, (1.0 + x) ** -2.5, rtol=1e-13)
+
+    @pytest.mark.parametrize("param", ["k", "r", "lift_rate"])
+    def test_non_finite_parameter_rejected_by_name(self, param):
+        for name in ("u1", "u2", "u3"):
+            with pytest.raises(ValueError, match=f"{param} must be finite"):
+                make_case(name, **{param: math.nan})
 
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError):
