@@ -10,12 +10,13 @@ free of extended-precision types; ``hp_gauss_nodes_mpf`` and the private
 ``_poly_series_mpf`` return mpf values for callers that keep computing in
 mpmath.
 
-The series runs on raw libmp values (``_mpf_`` tuples) with the same
-correctly rounded ``mpf_add``/``mpf_sub``/``mpf_mul``/``mpf_div`` at
-``mp.prec`` that mpf's operators apply, one operation for each of theirs
-and in their order, so it matches mpf arithmetic bit for bit without the
-operator wrappers.  The factors of a step that do not depend on x are
-built once per (alpha, n, precision) and shared by every abscissa.
+The series and sums over it run on raw libmp values (``_mpf_`` tuples)
+with the same correctly rounded ``mpf_add``/``mpf_sub``/``mpf_mul``/
+``mpf_div`` at ``mp.prec`` that mpf's operators apply, one operation for
+each of theirs and in their order, so they match mpf arithmetic bit for
+bit without the operator wrappers; only values a caller needs become mpf.
+The factors of a step that do not depend on x are built once per
+(alpha, n, precision) and shared by every abscissa.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ def _step_factors(alpha, n: int, prec: int):
         for k in range(1, n))
 
 
-def _poly_series_mpf(alpha, n: int, x):
-    """Standard three-term recurrence ``L_0 .. L_n`` as mpf values, with
+def _poly_series_raw(alpha, n: int, x) -> list:
+    """Standard three-term recurrence ``L_0 .. L_n`` as raw values, with
     every operation rounded at ``mp.prec`` as mpf arithmetic rounds it."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -84,7 +85,12 @@ def _poly_series_mpf(alpha, n: int, x):
             mpf_sub(mpf_mul(mpf_sub(c, xr, prec, rnd), raw[k], prec, rnd),
                     mpf_mul(b, raw[k - 1], prec, rnd), prec, rnd),
             d, prec, rnd))
-    return [mp.make_mpf(v) for v in raw]
+    return raw
+
+
+def _poly_series_mpf(alpha, n: int, x):
+    """:func:`_poly_series_raw` as mpf values."""
+    return [mp.make_mpf(v) for v in _poly_series_raw(alpha, n, x)]
 
 
 def hp_eval(ctx: HpContext, alpha, n: int, x) -> tuple[str, str]:
@@ -102,7 +108,7 @@ def hp_eval(ctx: HpContext, alpha, n: int, x) -> tuple[str, str]:
             raise ValueError(f"x must be finite, got {x!r}")
         if not (mp.isfinite(aa) and aa > -1):
             raise ValueError(f"alpha must be finite and > -1, got {alpha!r}")
-        val = _poly_series_mpf(aa, n, xx)[n]
+        val = mp.make_mpf(_poly_series_raw(aa, n, xx)[n])
         return (mp.nstr(val, ctx.digits),
                 mp.nstr(mp.e ** (-xx / 2) * val, ctx.digits))
 
@@ -118,14 +124,17 @@ def hp_gauss_nodes_mpf(ctx: HpContext, alpha, N: int):
     seeds = nodes_eigen_seed(float(alpha), N)
     with mp.workdps(ctx.digits + 10):
         a = mp.mpf(alpha)
-        tol = mp.mpf(10) ** (2 - ctx.digits)
+        tol, prec = mp.mpf(10) ** (2 - ctx.digits), mp.prec
         out = []
         for j, seed in enumerate(seeds):
             x = mp.mpf(float(seed))
             for _ in range(60):
-                vals = _poly_series_mpf(a, N + 1, x)
-                deriv = -sum(vals[:N + 1])
-                step = vals[N + 1] / deriv
+                vals = _poly_series_raw(a, N + 1, x)
+                # -sum(L_0 .. L_N) as sum forms it, from int 0 upwards
+                total = from_int(0)
+                for v in vals[:N + 1]:
+                    total = mpf_add(total, v, prec, round_nearest)
+                step = mp.make_mpf(vals[N + 1]) / -mp.make_mpf(total)
                 x = x - step
                 if abs(step) <= tol * x:
                     break

@@ -52,7 +52,8 @@ class GaussRule:
     the rule exact for products of exponentially weighted polynomials.
     Polynomial weights at very large nodes may underflow to zero (their
     true values fall below the double-precision range); function weights
-    are always finite and positive.
+    are always finite and positive.  The arrays are read-only views, as
+    cached rules are shared by every caller.
     """
 
     alpha: float
@@ -62,6 +63,10 @@ class GaussRule:
     fun_weights: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("nodes", "weights", "fun_weights"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
         if not np.all(np.diff(self.nodes) > 0):
             raise ValueError("nodes must be strictly increasing")
         if self.kind is RuleKind.GAUSS and not self.nodes[0] > 0:

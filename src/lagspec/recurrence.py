@@ -20,7 +20,8 @@ Three evaluation routes are provided:
   beyond the final rounding, and the tests vary them to show it.
 
 Every evaluator takes a scalar ``x`` (a series of shape ``(n+1,)``) or an
-array (shape ``(n+1, npts)``, column ``j`` bitwise the series at ``x[j]``).
+array of any shape (a series of shape ``(n+1,) + x.shape``, entry
+``[:, j]`` bitwise the series at ``x[j]``).
 All functions are pure; overflow/underflow in the standard routes is
 deliberately passed through as IEEE infinities/zeros rather than masked,
 since callers use it to detect where the stable route is required.
@@ -312,13 +313,12 @@ def fun_series_stable(params: LagParams, x) -> np.ndarray:
     true magnitude is below the double-precision range come out as exact
     zeros.
 
-    Returns an array of shape ``(n+1,)`` for scalar ``x`` or
-    ``(n+1, len(x))`` for array ``x``.
+    Returns an array of shape ``(n+1,) + np.shape(x)``.
     """
-    xs = np.atleast_1d(_abscissae(x))
+    xs = _abscissae(x)
     out = np.empty((params.n + 1, xs.size))
-    _rescaled_recurrence(params.alpha, params.n, xs, out)
-    return out[:, 0] if np.ndim(x) == 0 else out
+    _rescaled_recurrence(params.alpha, params.n, np.ravel(xs), out)
+    return out.reshape((params.n + 1,) + np.shape(xs))
 
 
 def fun_value_deriv_stable(params: LagParams, x):
@@ -331,7 +331,8 @@ def fun_value_deriv_stable(params: LagParams, x):
     for Newton refinement of quadrature nodes.
     """
     alpha, n = params.alpha, params.n
-    xs = np.atleast_1d(_abscissae(x))
+    shape = np.shape(x)
+    xs = np.ravel(_abscissae(x))
     if n <= 1:
         w = np.exp(-xs / 2.0)
         val = w if n == 0 else (1.0 + alpha - xs) * w
@@ -340,7 +341,7 @@ def fun_value_deriv_stable(params: LagParams, x):
         val, part = _rescaled_recurrence(alpha, n, xs)
         # exp(-x/2) L_n' = -part; the prefactor's product rule adds -val/2
         der = -part - 0.5 * val
-    return (val[0], der[0]) if np.ndim(x) == 0 else (val, der)
+    return val.reshape(shape)[()], der.reshape(shape)[()]
 
 
 def eval_fun_derivative(params: LagParams, x) -> np.ndarray:

@@ -8,16 +8,17 @@ O(N); right-hand sides and error norms are evaluated by Gauss quadrature
 in the scaled variable using function-form weights.
 
 The basis lives in ``y``, so it does not depend on beta.  A solve is split
-into the basis at the nodes of two rules, built once per ``(N, M)``: psi at
-the (M+1)-point rule of the load vector, and psi, dpsi at the (2M+3)-point
-rule of the error norms; and an apply step, run per beta, that samples
-``f(y/beta)``, projects it with one matrix-vector product, solves the
-tridiagonal system and takes the norms from the second rule's matrices.
-``beta_sweep`` builds both once per N and applies them to every beta.
+into the basis at the nodes of two rules, memoized per ``(N, M)`` as the
+rules are: psi at the (M+1)-point rule of the load vector, and psi, dpsi at
+the (2M+3)-point rule of the error norms; and an apply step, run per beta,
+that samples ``f(y/beta)``, projects it with one matrix-vector product,
+solves the tridiagonal system and takes the norms from the second rule's
+matrices.  Solves and sweeps at the same ``(N, M)`` share the basis.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -99,14 +100,21 @@ def basis_matrices(N: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     lhat = fun_series_stable(LagParams(alpha=0.0, n=N),
                              np.asarray(y, dtype=float))
-    return _psi_dpsi(lhat, deriv=True)
+    return _psi_dpsi(lhat, True)
 
 
 def _psi_dpsi(lhat: np.ndarray, deriv: bool
               ) -> tuple[np.ndarray, np.ndarray | None]:
-    # the load rule needs no dpsi, so it is only formed on request
-    psi = lhat[:-1] - lhat[1:]
-    return psi, 0.5 * (lhat[:-1] + lhat[1:]) if deriv else None
+    # psi (the load rule needs no dpsi) or dpsi is made in lhat, rows upwards
+    # so each is read before it is overwritten: bit for bit the values of
+    # lhat[:-1] - lhat[1:] and 0.5 * (lhat[:-1] + lhat[1:])
+    psi = lhat[:-1] - lhat[1:] if deriv else lhat[:-1]
+    op = np.add if deriv else np.subtract
+    for n in range(lhat.shape[0] - 1):
+        op(lhat[n, ...], lhat[n + 1], out=lhat[n, ...])  # 0-d at scalar y
+    if deriv:
+        lhat[:-1] *= 0.5
+    return psi, lhat[:-1] if deriv else None
 
 
 def assemble_system(N: int, gamma_eff: float) -> tuple[np.ndarray, np.ndarray]:
@@ -128,7 +136,7 @@ def assemble_system(N: int, gamma_eff: float) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class _RuleBasis:
     """psi (and, for the norms, dpsi) at the nodes ``y`` of one Gauss rule,
-    with its function-form weights ``w``."""
+    with its function-form weights ``w``; all read-only, as it is shared."""
 
     y: np.ndarray
     w: np.ndarray
@@ -136,10 +144,15 @@ class _RuleBasis:
     dpsi: np.ndarray | None
 
 
-def _rule_basis(N: int, K: int, deriv: bool = True) -> _RuleBasis:
+# two bases for each of four N; called positionally, so one key per basis
+@functools.lru_cache(maxsize=8)
+def _rule_basis(N: int, K: int, deriv: bool) -> _RuleBasis:
     rule = cached_gauss_rule(0.0, K)
     lhat = fun_series_stable(LagParams(alpha=0.0, n=N), rule.nodes)
-    return _RuleBasis(rule.nodes, rule.fun_weights, *_psi_dpsi(lhat, deriv))
+    psi, dpsi = _psi_dpsi(lhat, deriv)
+    for a in (psi, dpsi) if deriv else (psi,):
+        a.flags.writeable = False
+    return _RuleBasis(rule.nodes, rule.fun_weights, psi, dpsi)
 
 
 def _load_basis(N: int, M: int) -> _RuleBasis:
@@ -148,11 +161,11 @@ def _load_basis(N: int, M: int) -> _RuleBasis:
         raise ValueError("N must be >= 1")
     if M < N + 1:
         raise ValueError("quadrature order M must be >= N + 1")
-    return _rule_basis(N, M, deriv=False)
+    return _rule_basis(N, M, False)
 
 
 def _norm_basis(N: int, M: int) -> _RuleBasis:
-    return _rule_basis(N, 2 * M + 2)
+    return _rule_basis(N, 2 * M + 2, True)
 
 
 def _load(rb: _RuleBasis, problem: ModelProblem, beta: float) -> np.ndarray:
@@ -242,7 +255,8 @@ def error_norms(sol: SpectralSolution, problem: ModelProblem | None = None,
     l2, h1 = _norms_at_order(sol, problem, _norm_basis(sol.N, sol.M))
     quad_est = None
     if check_quadrature:
-        l2b, _ = _norms_at_order(sol, problem, _rule_basis(sol.N, 4 * sol.M))
+        l2b, _ = _norms_at_order(sol, problem,
+                                 _rule_basis(sol.N, 4 * sol.M, True))
         quad_est = abs(l2b - l2)
     return ErrorReport(l2_error=l2, h1_semi_error=h1, N=sol.N, beta=sol.beta,
                        quad_error_estimate=quad_est)
@@ -257,41 +271,27 @@ def optimal_beta_exponential(z_re: float, z_im: float = 0.0) -> float:
     return 2.0 * math.hypot(z_re, z_im)
 
 
-def _sweep_cells(problem: ModelProblem, N: int, beta_list: Sequence[float]
-                 ) -> list[dict]:
-    # both rule bases serve every beta and are freed on return, so only one
-    # N's pair is ever alive
-    try:
-        rhs, norms = _load_basis(N, 2 * N), _norm_basis(N, 2 * N)
-    except Exception as exc:
-        return [{"l2_error": None, "h1_error": None, "error": str(exc)}
-                for _ in beta_list]
-    cells = []
-    for beta in beta_list:
-        cell = {"l2_error": None, "h1_error": None, "error": None}
-        try:
-            sol = _apply(rhs, problem, beta)
-            cell["l2_error"], cell["h1_error"] = _norms_at_order(
-                sol, problem, norms)
-        except Exception as exc:
-            cell["error"] = str(exc)
-        cells.append(cell)
-    return cells
-
-
 def beta_sweep(problem: ModelProblem, N_list: Sequence[int],
                beta_list: Sequence[float]) -> list[dict]:
     """Solve/measure over a (beta, N) grid with M = 2N quadrature points;
     beta outer, N inner.
 
-    Each distinct N builds its two rule bases once and applies them to
-    every beta.  A failure is recorded in the ``error`` field of the cells
-    it affects (every cell of its N if a basis fails) and the sweep
-    continues.
+    Each cell is ``error_norms(solve(problem, N, 2N, beta))``, run N by N
+    so that each N's two rule bases are built once (or found in the cache)
+    and serve every beta before the next N's are needed.  A failure is
+    recorded in the ``error`` field of its cell and the sweep continues.
     """
     if not N_list or not beta_list:
         raise ValueError("N_list and beta_list must be nonempty")
-    by_N = {N: _sweep_cells(problem, N, beta_list)
-            for N in dict.fromkeys(N_list)}
+    by_N = {}
+    for N in dict.fromkeys(N_list):
+        for beta in beta_list:
+            cell = {"l2_error": None, "h1_error": None, "error": None}
+            try:
+                rep = error_norms(solve(problem, N, 2 * N, beta), problem)
+                cell.update(l2_error=rep.l2_error, h1_error=rep.h1_semi_error)
+            except Exception as exc:
+                cell["error"] = str(exc)
+            by_N.setdefault(N, []).append(cell)
     return [{"N": N, "beta": beta, **by_N[N][i]}
             for i, beta in enumerate(beta_list) for N in N_list]

@@ -14,6 +14,7 @@ from lagspec.oracle import (
     hp_eval,
     hp_gauss_nodes_mpf,
 )
+from lagspec.quadrature import nodes_eigen_seed
 
 
 def _mpf_operator_series(alpha, n: int, x):
@@ -59,6 +60,24 @@ class TestValues:
         a = hp_eval(hp_ctx, 0.0, 5, 0.1)
         b = hp_eval(hp_ctx, 0.0, 5, float(np.float64(0.1)))
         assert a == b
+
+
+def _mpf_operator_nodes(ctx, alpha, N: int):
+    """``hp_gauss_nodes_mpf``'s Newton iteration on mpf operators, with the
+    derivative as ``-sum`` of the series: its bitwise reference."""
+    with mp.workdps(ctx.digits + 10):
+        a, tol = mp.mpf(alpha), mp.mpf(10) ** (2 - ctx.digits)
+        out = []
+        for seed in nodes_eigen_seed(float(alpha), N):
+            x = mp.mpf(float(seed))
+            for _ in range(60):
+                vals = _mpf_operator_series(a, N + 1, x)
+                step = vals[N + 1] / -sum(vals[:N + 1])
+                x = x - step
+                if abs(step) <= tol * x:
+                    break
+            out.append(x)
+        return out
 
 
 class TestBitwiseSeries:
@@ -135,6 +154,12 @@ class TestInputs:
 
 
 class TestNodes:
+    @pytest.mark.parametrize("alpha, N", [(0.0, 15), (0.5, 40), (0.0, 64)])
+    def test_matches_mpf_operators(self, hp_ctx, alpha, N):
+        got = hp_gauss_nodes_mpf(hp_ctx, alpha, N)
+        ref = _mpf_operator_nodes(hp_ctx, alpha, N)
+        assert [v._mpf_ for v in got] == [v._mpf_ for v in ref]
+
     def test_small_rule_matches_scipy(self, hp_ctx):
         got = np.array([float(v) for v in hp_gauss_nodes_mpf(hp_ctx, 0.0, 11)])
         ref, _ = roots_laguerre(12)

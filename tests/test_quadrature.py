@@ -233,6 +233,20 @@ class TestCacheAndIntegrate:
         b = cached_gauss_rule(0.0, 16)
         assert a is b
 
+    def test_cached_rule_arrays_are_read_only(self):
+        rule = cached_gauss_rule(0.0, 15)
+        for a in (rule.nodes, rule.weights, rule.fun_weights):
+            with pytest.raises(ValueError):
+                a[0] = 99.0
+        assert cached_gauss_rule(0.0, 15).nodes[0] != 99.0
+
+    def test_caller_arrays_stay_writeable(self):
+        nodes = np.array([1.0, 2.0])
+        rule = GaussRule(alpha=0.0, kind=RuleKind.GAUSS, nodes=nodes,
+                         weights=np.array([0.5, 0.5]),
+                         fun_weights=np.array([1.0, 1.0]))
+        assert nodes.flags.writeable and not rule.nodes.flags.writeable
+
     def test_cached_radau_kind(self):
         rule = cached_gauss_rule(0.0, 5, RuleKind.GAUSS_RADAU)
         assert rule.kind is RuleKind.GAUSS_RADAU

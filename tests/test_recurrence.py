@@ -229,7 +229,12 @@ _CONVENTION_XS = np.concatenate([[0.0, 1e-300, 1500.0, 3000.0],
 
 
 def _route_arrays(route, p, x):
-    """Every array one of the six plain-convention evaluators returns."""
+    """Every array one of the six plain-convention evaluators, or one of
+    the two stable views, returns."""
+    if route == "series_stable":
+        return [fun_series_stable(p, x)]
+    if route == "value_deriv_stable":
+        return list(fun_value_deriv_stable(p, x))
     if route == "poly_derivative":
         return [eval_poly_derivative(eval_poly_standard(p, x)),
                 eval_poly_derivative(eval_poly_modified(p, x))]
@@ -265,6 +270,30 @@ class TestArrayConvention:
                     assert arr.shape == pt.shape + (xs.size,)
                     assert arr[:, j].tobytes() == pt.tobytes(), \
                         f"x = {x}"
+
+    @pytest.mark.parametrize("route", [
+        "poly_standard", "poly_modified", "fun_standard", "fun_modified",
+        "poly_derivative", "fun_derivative", "series_stable",
+        "value_deriv_stable"])
+    @pytest.mark.parametrize("n", [0, 1, 17])
+    def test_2d_call_equals_flat_call_reshaped(self, route, n):
+        p = LagParams(0.5, n)
+        grid = _CONVENTION_XS.reshape(5, 10)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _route_arrays(route, p, grid)
+            flat = _route_arrays(route, p, grid.ravel())
+        assert len(got) == len(flat)
+        for g, f in zip(got, flat):
+            assert g.shape == f.shape[:-1] + grid.shape
+            assert g.tobytes() == f.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 17])
+    def test_stable_views_keep_scalar_types(self, n):
+        p = LagParams(0.5, n)
+        assert all(type(v) is np.float64
+                   for v in fun_value_deriv_stable(p, 2.0))
+        assert fun_series_stable(p, 2.0).shape == (n + 1,)
+        assert type(eval_fun_stable(p, 2.0)) is float
 
 
 @pytest.fixture(scope="module")

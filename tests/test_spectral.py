@@ -8,6 +8,7 @@ import pytest
 from lagspec import spectral
 from lagspec.problems import make_case
 from lagspec.quadrature import gauss_rule
+from lagspec.recurrence import LagParams, fun_series_stable
 from lagspec.spectral import (
     ErrorReport,
     ModelProblem,
@@ -70,6 +71,16 @@ class TestBasis:
         psi, dpsi = basis_matrices(4, y)
         assert psi.shape == (4, 5)
         assert dpsi.shape == (4, 5)
+
+    def test_in_place_build_matches_slice_expressions(self):
+        # psi and dpsi are made in the series' rows; a scalar y gives 0-d
+        # rows, which must be written in place as well
+        for y in (np.linspace(0.0, 40.0, 7), 2.5):
+            lhat = fun_series_stable(LagParams(0.0, 5), y)
+            psi, dpsi = basis_matrices(5, y)
+            assert psi.shape == dpsi.shape == (5,) + np.shape(y)
+            assert psi.tobytes() == (lhat[:-1] - lhat[1:]).tobytes()
+            assert dpsi.tobytes() == (0.5 * (lhat[:-1] + lhat[1:])).tobytes()
 
 
 class TestAssembly:
@@ -281,21 +292,33 @@ class TestSweep:
             beta_sweep(case.problem, [], [1.0])
 
 
+@pytest.fixture
+def cold_bases():
+    """An empty rule-basis cache, so a test sees every basis it needs built."""
+    spectral._rule_basis.cache_clear()
+
+
+def _count_series(monkeypatch) -> list[int]:
+    """Degrees of the ``fun_series_stable`` calls the solver makes from now."""
+    calls = []
+    original = spectral.fun_series_stable
+
+    def counted(params, y):
+        calls.append(params.n)
+        return original(params, y)
+
+    monkeypatch.setattr(spectral, "fun_series_stable", counted)
+    return calls
+
+
 class TestSweepPlan:
     """``beta_sweep`` builds each N's basis once and applies it per beta."""
 
     BETAS = [1.0, 2.0, 4.47, 8.0, 16.0]
 
-    def test_one_basis_per_rule_and_n(self, monkeypatch):
-        calls = []
-        original = spectral.fun_series_stable
-
-        def counted(params, y):
-            calls.append(params.n)
-            return original(params, y)
-
+    def test_one_basis_per_rule_and_n(self, monkeypatch, cold_bases):
         # every basis, from basis_matrices or a rule basis, is one series
-        monkeypatch.setattr(spectral, "fun_series_stable", counted)
+        calls = _count_series(monkeypatch)
         beta_sweep(make_case("u1").problem, [8, 16], self.BETAS)
         # the load-vector rule and the norm rule of each N
         assert sorted(calls) == [8, 8, 16, 16]
@@ -330,9 +353,8 @@ class TestSweepPlan:
         cells[0]["l2_error"] = None
         assert cells[2]["l2_error"] is not None
 
-    def test_failed_basis_marks_only_its_n(self, monkeypatch):
+    def test_failed_basis_marks_only_its_n(self, monkeypatch, cold_bases):
         problem = make_case("u1").problem
-        good = beta_sweep(problem, [8, 16], self.BETAS)
         original = spectral.fun_series_stable
 
         def broken_at_8(params, y):
@@ -342,6 +364,9 @@ class TestSweepPlan:
 
         monkeypatch.setattr(spectral, "fun_series_stable", broken_at_8)
         cells = beta_sweep(problem, [8, 16], self.BETAS)
+        # a failed basis is not cached, so this sweep builds N=8 afresh
+        monkeypatch.undo()
+        good = beta_sweep(problem, [8, 16], self.BETAS)
         for c, ref in zip(cells, good):
             if c["N"] == 8:
                 assert c == {"N": 8, "beta": ref["beta"], "l2_error": None,
@@ -349,6 +374,67 @@ class TestSweepPlan:
                              "error": "basis broken at N=8"}
             else:
                 assert c == ref
+
+    def test_bad_beta_reported_before_failed_norm_basis(self, monkeypatch,
+                                                        cold_bases):
+        # each cell solves first, so its beta is checked before the norm
+        # rule's basis (35 points at N=8, the load rule has 17) is built
+        original = spectral.fun_series_stable
+
+        def broken_norms(params, y):
+            if y.size == 35:
+                raise ArithmeticError("norm basis broken")
+            return original(params, y)
+
+        monkeypatch.setattr(spectral, "fun_series_stable", broken_norms)
+        cells = beta_sweep(make_case("u1").problem, [8], [1.0, 0.0])
+        assert cells[0]["error"] == "norm basis broken"
+        assert "beta" in cells[1]["error"]
+
+
+class TestBasisCache:
+    """The rule bases are memoized for the process: one series per
+    (N, rule), however many solves, sweeps and betas use it."""
+
+    def test_second_sweep_builds_nothing(self, monkeypatch, cold_bases):
+        problem = make_case("u1").problem
+        first = beta_sweep(problem, [8, 16], [1.0, 2.0])
+        before = spectral._rule_basis.cache_info()
+        calls = _count_series(monkeypatch)
+        assert beta_sweep(problem, [8, 16], [1.0, 2.0]) == first
+        after = spectral._rule_basis.cache_info()
+        assert calls == []
+        # a load and a norm basis for each of the four cells
+        assert (after.hits - before.hits, after.misses) == (8, before.misses)
+
+    def test_solve_at_new_beta_after_sweep_builds_nothing(self, monkeypatch,
+                                                          cold_bases):
+        problem = make_case("u1").problem
+        beta_sweep(problem, [8, 16], [1.0, 2.0])
+        calls = _count_series(monkeypatch)
+        rep = error_norms(solve(problem, 16, 32, 4.47), problem)
+        assert calls == []
+        assert math.isfinite(rep.l2_error)
+
+    def test_sweep_over_six_n_builds_two_series_per_n(self, monkeypatch,
+                                                      cold_bases):
+        # six N need twelve bases, more than the cache holds: grouped by N,
+        # none is evicted before its last beta
+        calls = _count_series(monkeypatch)
+        Ns = [4, 5, 6, 7, 8, 9]
+        beta_sweep(make_case("u1").problem, Ns, [1.0, 2.0, 4.0])
+        assert sorted(calls) == sorted(Ns * 2)
+
+    def test_cached_basis_is_read_only(self):
+        rb, load = spectral._norm_basis(8, 16), spectral._load_basis(8, 16)
+        for a in (rb.y, rb.w, rb.psi, rb.dpsi, load.psi):
+            with pytest.raises(ValueError):
+                a[0] = 99.0
+
+    def test_basis_matrices_return_writeable_arrays(self):
+        psi, dpsi = basis_matrices(4, np.array([0.5, 2.0]))
+        psi[0, 0] = dpsi[0, 0] = 99.0
+        assert psi[0, 0] == dpsi[0, 0] == 99.0
 
 
 class TestBenchmarkCases:
