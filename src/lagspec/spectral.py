@@ -8,17 +8,17 @@ O(N); right-hand sides and error norms are evaluated by Gauss quadrature
 in the scaled variable using function-form weights.
 
 The basis lives in ``y``, so it does not depend on beta.  A solve is split
-into the basis at the nodes of two rules, memoized per ``(N, M)`` as the
-rules are: psi at the (M+1)-point rule of the load vector, and psi, dpsi at
-the (2M+3)-point rule of the error norms; and an apply step, run per beta,
-that samples ``f(y/beta)``, projects it with one matrix-vector product,
-solves the tridiagonal system and takes the norms from the second rule's
-matrices.  Solves and sweeps at the same ``(N, M)`` share the basis.
+into the basis at the nodes of two rules, kept per ``(N, M)`` in a cache
+bounded by bytes: psi at the (M+1)-point rule of the load vector, and psi,
+dpsi at the (2M+3)-point rule of the error norms; and an apply step, run per
+beta, that samples ``f(y/beta)``, projects it with one matrix-vector
+product, solves the tridiagonal system and takes the norms from the second
+rule's matrices.  Solves and sweeps at the same ``(N, M)``, such as the
+sweeps of several problems over one grid of N, share the basis.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -100,7 +100,7 @@ def basis_matrices(N: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     lhat = fun_series_stable(LagParams(alpha=0.0, n=N),
                              np.asarray(y, dtype=float))
-    return _psi_dpsi(lhat, True)
+    return _psi_dpsi(lhat, deriv=True)
 
 
 def _psi_dpsi(lhat: np.ndarray, deriv: bool
@@ -144,9 +144,36 @@ class _RuleBasis:
     dpsi: np.ndarray | None
 
 
-# two bases for each of four N; called positionally, so one key per basis
-@functools.lru_cache(maxsize=8)
+# Rule bases kept for reuse across solves, norms and sweeps, least recently
+# used first.  Before a basis is built, bases of other N are dropped in that
+# order until it fits in _BASES_BYTES with the rest; those of its own N stay,
+# so a beta loop at one N builds each of its two bases once.  At M = 2N the
+# bases of one N take about 80 N^2 bytes, 21 MB at N = 512.
+_BASES_BYTES = 64 << 20
+_bases: dict[tuple[int, int, bool], _RuleBasis] = {}
+
+
+def _basis_bytes(N: int, K: int, deriv: bool) -> int:
+    # lhat, (N+1) x (K+1) doubles, holds psi or dpsi; the norm rule adds psi
+    return 8 * (N + 1) * (K + 1) * (2 if deriv else 1)
+
+
 def _rule_basis(N: int, K: int, deriv: bool) -> _RuleBasis:
+    key = (N, K, deriv)
+    rb = _bases.pop(key, None)
+    if rb is None:
+        need = sum(_basis_bytes(*k) for k in (key, *_bases))
+        for old in [k for k in _bases if k[0] != N]:
+            if need <= _BASES_BYTES:
+                break
+            need -= _basis_bytes(*old)
+            del _bases[old]
+        rb = _build_basis(N, K, deriv)
+    _bases[key] = rb
+    return rb
+
+
+def _build_basis(N: int, K: int, deriv: bool) -> _RuleBasis:
     rule = cached_gauss_rule(0.0, K)
     lhat = fun_series_stable(LagParams(alpha=0.0, n=N), rule.nodes)
     psi, dpsi = _psi_dpsi(lhat, deriv)
@@ -255,8 +282,9 @@ def error_norms(sol: SpectralSolution, problem: ModelProblem | None = None,
     l2, h1 = _norms_at_order(sol, problem, _norm_basis(sol.N, sol.M))
     quad_est = None
     if check_quadrature:
+        # a one-off check, four times the norm rule's size: not kept
         l2b, _ = _norms_at_order(sol, problem,
-                                 _rule_basis(sol.N, 4 * sol.M, True))
+                                 _build_basis(sol.N, 4 * sol.M, True))
         quad_est = abs(l2b - l2)
     return ErrorReport(l2_error=l2, h1_semi_error=h1, N=sol.N, beta=sol.beta,
                        quad_error_estimate=quad_est)

@@ -295,7 +295,7 @@ class TestSweep:
 @pytest.fixture
 def cold_bases():
     """An empty rule-basis cache, so a test sees every basis it needs built."""
-    spectral._rule_basis.cache_clear()
+    spectral._bases.clear()
 
 
 def _count_series(monkeypatch) -> list[int]:
@@ -393,19 +393,27 @@ class TestSweepPlan:
 
 
 class TestBasisCache:
-    """The rule bases are memoized for the process: one series per
-    (N, rule), however many solves, sweeps and betas use it."""
+    """The rule bases are kept for the process within a byte budget: one
+    series per (N, rule), however many solves, sweeps and betas use it."""
 
     def test_second_sweep_builds_nothing(self, monkeypatch, cold_bases):
         problem = make_case("u1").problem
         first = beta_sweep(problem, [8, 16], [1.0, 2.0])
-        before = spectral._rule_basis.cache_info()
         calls = _count_series(monkeypatch)
         assert beta_sweep(problem, [8, 16], [1.0, 2.0]) == first
-        after = spectral._rule_basis.cache_info()
         assert calls == []
-        # a load and a norm basis for each of the four cells
-        assert (after.hits - before.hits, after.misses) == (8, before.misses)
+        # a load and a norm basis for each N
+        assert sorted(spectral._bases) == [(8, 16, False), (8, 34, True),
+                                           (16, 32, False), (16, 66, True)]
+
+    def test_sweep_of_another_problem_builds_nothing(self, monkeypatch,
+                                                     cold_bases):
+        # the bases do not depend on the problem, so sweeps of several
+        # cases over one grid of N share them
+        beta_sweep(make_case("u1").problem, [8, 16], [1.0, 2.0])
+        calls = _count_series(monkeypatch)
+        beta_sweep(make_case("u3").problem, [8, 16], [0.5, 1.0])
+        assert calls == []
 
     def test_solve_at_new_beta_after_sweep_builds_nothing(self, monkeypatch,
                                                           cold_bases):
@@ -418,12 +426,37 @@ class TestBasisCache:
 
     def test_sweep_over_six_n_builds_two_series_per_n(self, monkeypatch,
                                                       cold_bases):
-        # six N need twelve bases, more than the cache holds: grouped by N,
-        # none is evicted before its last beta
+        # grouped by N, each basis serves all its betas before the next N
         calls = _count_series(monkeypatch)
         Ns = [4, 5, 6, 7, 8, 9]
         beta_sweep(make_case("u1").problem, Ns, [1.0, 2.0, 4.0])
         assert sorted(calls) == sorted(Ns * 2)
+
+    def test_over_budget_keeps_only_the_n_in_use(self, monkeypatch,
+                                                 cold_bases):
+        # with no room at all, each N's two bases still serve all its betas
+        # and are dropped when the next N is built
+        monkeypatch.setattr(spectral, "_BASES_BYTES", 0)
+        calls = _count_series(monkeypatch)
+        beta_sweep(make_case("u1").problem, [8, 16], [1.0, 2.0, 4.0])
+        assert sorted(calls) == [8, 8, 16, 16]
+        assert sorted(spectral._bases) == [(16, 32, False), (16, 66, True)]
+
+    def test_evicts_least_recently_used_first(self, monkeypatch, cold_bases):
+        # room for the bases of N=4 and N=16 but not for those of N=8 besides
+        kept = [(4, 8, False), (4, 18, True), (16, 32, False), (16, 66, True)]
+        monkeypatch.setattr(spectral, "_BASES_BYTES",
+                            sum(spectral._basis_bytes(*k) for k in kept))
+        problem = make_case("u1").problem
+        beta_sweep(problem, [4, 8], [1.0])
+        error_norms(solve(problem, 4, 8, 2.0), problem)  # N=4 used last
+        beta_sweep(problem, [16], [1.0])
+        assert list(spectral._bases) == kept
+
+    def test_check_quadrature_basis_is_not_kept(self, cold_bases):
+        problem = make_case("u1").problem
+        error_norms(solve(problem, 8, 16, 1.0), problem, check_quadrature=True)
+        assert sorted(spectral._bases) == [(8, 16, False), (8, 34, True)]
 
     def test_cached_basis_is_read_only(self):
         rb, load = spectral._norm_basis(8, 16), spectral._load_basis(8, 16)
