@@ -168,17 +168,18 @@ def cmd_errlab(args) -> int:
     n_max = args.n
     traj = errmodel.simulate_error_propagation(
         args.alpha, n_max, args.x, mode=args.mode, rng_seed=args.seed)
-    # the bound at degree n assumes the largest perturbation of steps 1..n
+    # the bound at degree n assumes the largest perturbation of steps 1..n,
+    # from the envelope of the mode that was simulated and measured
     zeta_max = np.maximum.accumulate(
-        errmodel.zeta_envelopes(args.alpha, n_max, args.x))
+        errmodel.zeta_envelopes(args.alpha, n_max, args.x, args.mode))
     bounds = [errmodel.abs_error_bound(errmodel.ErrorBoundInput(
         n=n, alpha=args.alpha, x=args.x, eta=args.eta, e1=abs(traj[1]),
         zeta_max=float(zeta_max[n - 1]))) for n in range(1, n_max)]
-    # one oracle series for every degree; entry n-1 is degree n
+    # one oracle series for every degree; entry n is degree n
     measured = (errmodel.measure_actual_error(args.alpha, n_max, args.x,
                                               mode=args.mode)
-                if args.measure else np.full(n_max - 1, np.nan))
-    rows = [(n, _fmt(measured[n - 1]), _fmt(abs(traj[n + 1])),
+                if args.measure else np.full(n_max + 1, np.nan))
+    rows = [(n, _fmt(measured[n + 1]), _fmt(abs(traj[n + 1])),
              _fmt(bounds[n - 1])) for n in range(1, n_max)]
     _write_rows(args, ["n", "measured_err", "simulated_err", "theory_bound"],
                 rows)
@@ -241,7 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("errlab", help="round-off model lab")
+    sp = sub.add_parser(
+        "errlab", help="round-off model lab",
+        description="Row n (n = 1 .. N-1 for --n N) holds absolute errors of "
+        "degree n+1 of the --mode recurrence: measured_err, the double value "
+        "against the oracle (with --measure); simulated_err, |e_{n+1}| of "
+        "the simulated error recurrence; theory_bound, abs_error_bound(n) "
+        "on |e_{n+1}|, from the --mode perturbation envelope.")
     sp.add_argument("--alpha", type=_float, default=0.0)
     sp.add_argument("--x", type=_float, required=True)
     sp.add_argument("--n", type=int, default=100)
@@ -249,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--mode", choices=["standard", "delta"], default="standard")
     sp.add_argument("--measure", action="store_true",
-                    help="include oracle-measured errors (slower)")
+                    help="include the oracle-measured absolute errors "
+                    "(slower)")
     common(sp)
     sp.set_defaults(func=cmd_errlab)
     return p

@@ -223,11 +223,13 @@ def simulate_energy(alpha: float, x: float, e: np.ndarray) -> np.ndarray:
 
 def measure_actual_error(alpha: float, n_max: int, x: float,
                          mode: str = "standard") -> np.ndarray:
-    """Relative errors of the double-precision values of degrees
-    ``1 .. n_max-1`` against the oracle, entry ``n-1`` for degree n.
+    """Absolute errors ``|fl(L_n) - L_n|`` of the double-precision values
+    of degrees ``0 .. n_max`` against the oracle, entry n for degree n
+    (the indexing of :func:`simulate_error_propagation`).
 
     One double series in ``mode`` and one 24-digit mpf series of degree
-    ``n_max`` supply every degree.
+    ``n_max`` supply every degree.  Absolute errors are what
+    :func:`abs_error_bound` bounds, and stay defined at a zero of ``L_n``.
     """
     params = LagParams(alpha=alpha, n=n_max)
     if mode == "standard":
@@ -238,5 +240,5 @@ def measure_actual_error(alpha: float, n_max: int, x: float,
         raise ValueError(f"unknown mode {mode!r}")
     with mp.workdps(HpContext().digits):
         refs = _poly_series_mpf(mp.mpf(alpha), n_max, mp.mpf(x))
-        return np.array([float(abs((mp.mpf(float(v)) - r) / r))
-                         for v, r in zip(vals[1:n_max], refs[1:n_max])])
+        return np.array([float(abs(mp.mpf(float(v)) - r))
+                         for v, r in zip(vals, refs)])

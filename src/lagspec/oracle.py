@@ -1,7 +1,7 @@
 """Extended-precision reference values for recurrences and quadrature nodes.
 
-Everything here runs through mpmath at a configurable decimal precision
-(24 digits by default, matching the double-precision test regime with a
+Everything here runs at an mpmath decimal precision of 24 to 64 digits
+(24 by default, matching the double-precision test regime with a
 comfortable margin).  Float inputs are taken bit-exactly (``mp.mpf`` of a
 double is exact); strings are parsed at the working precision.
 
@@ -10,13 +10,23 @@ free of extended-precision types; ``hp_gauss_nodes_mpf`` and the private
 ``_poly_series_mpf`` return mpf values for callers that keep computing in
 mpmath.
 
-The series and sums over it run on raw libmp values (``_mpf_`` tuples)
-with the same correctly rounded ``mpf_add``/``mpf_sub``/``mpf_mul``/
-``mpf_div`` at ``mp.prec`` that mpf's operators apply, one operation for
-each of theirs and in their order, so they match mpf arithmetic bit for
-bit without the operator wrappers; only values a caller needs become mpf.
-The factors of a step that do not depend on x are built once per
-(alpha, n, precision) and shared by every abscissa.
+The series runs on plain Python ints: a value is a pair ``(m, e)``,
+``m * 2**e`` with ``|m| <= 2**mp.prec``.  A step applies the five
+operations of mpf's ``((2k+alpha+1 - x) * L_k - (k+alpha) * L_{k-1}) /
+(k+1)`` in their order.  Subtraction and product are exact int operations;
+the division by the int ``k+1`` keeps libmp's ``max(prec - bits(s) +
+bits(k+1) + 5, 5)`` guard bits and a sticky bit for a nonzero remainder.
+Each result is then rounded once to ``mp.prec`` bits, half to even, inline
+in the loop.  libmp's ``round_nearest`` rounds each of these operations
+correctly, and a correctly rounded result is unique, so every value
+equals mpf's bit for bit.  The Newton derivative's sum ``L_0 + ... + L_N``
+is formed the same way, from 0 upwards as ``sum`` adds mpf values.  The
+x-free factors of a step are built once per (alpha, n, precision) and
+shared by every abscissa.
+
+Values become ``_mpf_`` tuples (and mpf) only where a caller reads them:
+the last one in ``hp_eval``, all of them in ``_poly_series_mpf``, and
+``L_{N+1}`` and the sum in ``hp_gauss_nodes_mpf``.
 """
 
 from __future__ import annotations
@@ -26,8 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from mpmath import mp
-from mpmath.libmp import (from_int, mpf_add, mpf_div, mpf_mul, mpf_sub,
-                          round_nearest)
+from mpmath.libmp import from_man_exp
 
 from .quadrature import nodes_eigen_seed
 
@@ -49,48 +58,110 @@ class HpContext:
             raise ValueError("digits must lie in [24, 64]")
 
 
-_ONE = from_int(1)
-
-
-def _raw(v):
-    """An mpf's ``_mpf_`` as it is; anything else through ``mp.mpf``."""
+def _pair(v) -> tuple[int, int]:
+    """An mpf (anything else through ``mp.mpf``) as an exact ``(m, e)``."""
     raw = getattr(v, "_mpf_", None)
-    return mp.mpf(v)._mpf_ if raw is None else raw
+    sign, man, exp, _ = mp.mpf(v)._mpf_ if raw is None else raw
+    if not man and exp:
+        raise ValueError(f"series inputs must be finite, got {v!r}")
+    return (-man if sign else man), exp
+
+
+def _add(am: int, ae: int, bm: int, be: int, prec: int) -> tuple[int, int]:
+    """``a + b``, exact, then rounded to ``prec`` bits, half to even: the
+    operation that the series loop inlines."""
+    if ae > be:
+        m, e = (am << (ae - be)) + bm, be
+    else:
+        m, e = am + (bm << (be - ae)), ae
+    s = m.bit_length() - prec
+    if s > 0:
+        # floor((m + 2**(s-1) - 1 + odd) / 2**s), odd the parity of m >> s
+        m, e = (m + (1 << (s - 1)) - 1 + ((m >> s) & 1)) >> s, e + s
+    return m, e
 
 
 @lru_cache(maxsize=4)
-def _step_factors(alpha, n: int, prec: int):
-    """``(2k+alpha+1, k+alpha, k+1)`` for steps k = 1 .. n-1, rounded at
-    ``prec`` as ``2*k + alpha + 1`` and ``k + alpha`` round in mpf."""
+def _step_factors(am: int, ae: int, n: int, prec: int):
+    """``(c_m, c_e, b_m, b_e, k+1)`` for steps k = 1 .. n-1: ``c`` and
+    ``b`` are ``2*k + alpha + 1`` and ``k + alpha`` rounded at ``prec`` as
+    mpf rounds them, for ``alpha = am * 2**ae``."""
     return tuple(
-        (mpf_add(mpf_add(alpha, from_int(2 * k), prec, round_nearest),
-                 _ONE, prec, round_nearest),
-         mpf_add(alpha, from_int(k), prec, round_nearest),
-         from_int(k + 1))
+        _add(*_add(am, ae, 2 * k, 0, prec), 1, 0, prec)
+        + _add(am, ae, k, 0, prec) + (k + 1,)
         for k in range(1, n))
 
 
-def _poly_series_raw(alpha, n: int, x) -> list:
-    """Standard three-term recurrence ``L_0 .. L_n`` as raw values, with
-    every operation rounded at ``mp.prec`` as mpf arithmetic rounds it."""
+def _poly_series_int(alpha, n: int, x) -> list:
+    """Standard three-term recurrence ``L_0 .. L_n`` as ``(m, e)`` pairs,
+    with every operation rounded at ``mp.prec`` as mpf arithmetic rounds
+    it.  Every series of this module runs through this name."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    prec, rnd = mp.prec, round_nearest
-    a, xr = _raw(alpha), _raw(x)
-    raw = [_ONE]
+    prec = mp.prec
+    (am, ae), (xm, xe) = _pair(alpha), _pair(x)
+    out = [(1, 0)]
     if n >= 1:
-        raw.append(mpf_sub(mpf_add(a, _ONE, prec, rnd), xr, prec, rnd))
-    for k, (c, b, d) in enumerate(_step_factors(a, n, prec), 1):
-        raw.append(mpf_div(
-            mpf_sub(mpf_mul(mpf_sub(c, xr, prec, rnd), raw[k], prec, rnd),
-                    mpf_mul(b, raw[k - 1], prec, rnd), prec, rnd),
-            d, prec, rnd))
-    return raw
+        out.append(_add(*_add(am, ae, 1, 0, prec), -xm, xe, prec))
+    m0, e0 = out[0]
+    m1, e1 = out[-1]
+    for cm, ce, bm, be, d in _step_factors(am, ae, n, prec):
+        # each of the five operations is exact, then rounded half to even
+        if ce > xe:  # c - x
+            m, e = (cm << (ce - xe)) - xm, xe
+        else:
+            m, e = cm - (xm << (xe - ce)), ce
+        s = m.bit_length() - prec
+        if s > 0:
+            m, e = (m + (1 << (s - 1)) - 1 + ((m >> s) & 1)) >> s, e + s
+        m, e = m * m1, e + e1  # (c - x) * L_k
+        s = m.bit_length() - prec
+        if s > 0:
+            m, e = (m + (1 << (s - 1)) - 1 + ((m >> s) & 1)) >> s, e + s
+        um, ue = bm * m0, be + e0  # b * L_{k-1}
+        s = um.bit_length() - prec
+        if s > 0:
+            um, ue = (um + (1 << (s - 1)) - 1 + ((um >> s) & 1)) >> s, ue + s
+        if e > ue:  # (c - x) * L_k - b * L_{k-1}
+            m, e = (m << (e - ue)) - um, ue
+        else:
+            m -= um << (ue - e)
+        s = m.bit_length() - prec
+        if s > 0:
+            m, e = (m + (1 << (s - 1)) - 1 + ((m >> s) & 1)) >> s, e + s
+        # / (k+1) with libmp's guard bits, and a sticky bit for a remainder
+        g = prec - m.bit_length() + d.bit_length() + 5
+        if g < 5:
+            g = 5
+        m, r = divmod(m << g, d)
+        if r:
+            m, g = (m << 1) | 1, g + 1
+        e -= g
+        s = m.bit_length() - prec
+        if s > 0:
+            m, e = (m + (1 << (s - 1)) - 1 + ((m >> s) & 1)) >> s, e + s
+        out.append((m, e))
+        m0, e0, m1, e1 = m1, e1, m, e
+    return out
+
+
+def _sum(pairs, prec: int) -> tuple[int, int]:
+    """The values of ``(m, e)`` pairs summed as ``sum`` adds mpf values:
+    from int 0 upwards, each add exact and then rounded half to even."""
+    tm = te = 0
+    for m, e in pairs:
+        tm, te = _add(tm, te, m, e, prec)
+    return tm, te
+
+
+def _mpf(pair):
+    """An ``(m, e)`` pair as an mpf, exactly."""
+    return mp.make_mpf(from_man_exp(*pair))
 
 
 def _poly_series_mpf(alpha, n: int, x):
-    """:func:`_poly_series_raw` as mpf values."""
-    return [mp.make_mpf(v) for v in _poly_series_raw(alpha, n, x)]
+    """:func:`_poly_series_int` as mpf values."""
+    return [_mpf(v) for v in _poly_series_int(alpha, n, x)]
 
 
 def hp_eval(ctx: HpContext, alpha, n: int, x) -> tuple[str, str]:
@@ -108,7 +179,7 @@ def hp_eval(ctx: HpContext, alpha, n: int, x) -> tuple[str, str]:
             raise ValueError(f"x must be finite, got {x!r}")
         if not (mp.isfinite(aa) and aa > -1):
             raise ValueError(f"alpha must be finite and > -1, got {alpha!r}")
-        val = mp.make_mpf(_poly_series_raw(aa, n, xx)[n])
+        val = _mpf(_poly_series_int(aa, n, xx)[n])
         return (mp.nstr(val, ctx.digits),
                 mp.nstr(mp.e ** (-xx / 2) * val, ctx.digits))
 
@@ -129,12 +200,8 @@ def hp_gauss_nodes_mpf(ctx: HpContext, alpha, N: int):
         for j, seed in enumerate(seeds):
             x = mp.mpf(float(seed))
             for _ in range(60):
-                vals = _poly_series_raw(a, N + 1, x)
-                # -sum(L_0 .. L_N) as sum forms it, from int 0 upwards
-                total = from_int(0)
-                for v in vals[:N + 1]:
-                    total = mpf_add(total, v, prec, round_nearest)
-                step = mp.make_mpf(vals[N + 1]) / -mp.make_mpf(total)
+                vals = _poly_series_int(a, N + 1, x)
+                step = _mpf(vals[N + 1]) / -_mpf(_sum(vals[:N + 1], prec))
                 x = x - step
                 if abs(step) <= tol * x:
                     break

@@ -26,7 +26,7 @@ def _rows(text):
 @pytest.fixture
 def mp_series_calls(monkeypatch):
     """Degrees of the extended-precision series run while the test runs."""
-    original = oracle._poly_series_raw
+    original = oracle._poly_series_int
     degrees = []
 
     def counted(alpha, n, x):
@@ -34,7 +34,7 @@ def mp_series_calls(monkeypatch):
         return original(alpha, n, x)
 
     # every series, errmodel's mpf one too, runs through this name
-    monkeypatch.setattr(oracle, "_poly_series_raw", counted)
+    monkeypatch.setattr(oracle, "_poly_series_int", counted)
     return degrees
 
 
@@ -155,10 +155,16 @@ class TestOracleSeriesBytes:
     def test_same_bytes_as_mpf_operators(self, tmp_path, monkeypatch, argv):
         default, reference = tmp_path / "default.csv", tmp_path / "ref.csv"
         assert main(argv + ["--out", str(default)]) == 0
+        calls = []
+
+        def operator_series(a, n, x):
+            calls.append(n)
+            return [oracle._pair(v) for v in _mpf_operator_series(a, n, x)]
+
         # every series, errmodel's mpf one too, runs through this name
-        monkeypatch.setattr(oracle, "_poly_series_raw", lambda a, n, x: [
-            v._mpf_ for v in _mpf_operator_series(a, n, x)])
+        monkeypatch.setattr(oracle, "_poly_series_int", operator_series)
         assert main(argv + ["--out", str(reference)]) == 0
+        assert calls, "the reference series never ran"
         assert default.read_bytes() == reference.read_bytes()
 
 
@@ -218,6 +224,35 @@ class TestErrlab:
                          "--measure")
         assert code == 0
         assert all(math.isfinite(float(r["measured_err"])) for r in _rows(out))
+
+    @pytest.mark.parametrize("mode", ["standard", "delta"])
+    @pytest.mark.parametrize("alpha, x", [
+        (-0.5, 0.05), (0.0, 0.1), (0.0, 0.2), (0.2, 0.17), (0.5, 0.1),
+        (1.0, 0.05), (0.0, 1.0), (0.5, 1.0)])
+    def test_measured_within_theory_bound(self, capsys, alpha, x, mode):
+        # both columns are absolute errors of degree n+1 in one mode, so
+        # the bound holds on every row, near the zeros of L_n too
+        code, out = _run(capsys, "errlab", "--alpha", repr(alpha),
+                         "--x", repr(x), "--n", "400", "--mode", mode,
+                         "--measure")
+        assert code == 0
+        rows = _rows(out)
+        measured = [float(r["measured_err"]) for r in rows]
+        assert len(rows) == 399
+        assert measured == errmodel.measure_actual_error(
+            alpha, 400, x, mode)[2:].tolist()
+        assert all(m <= float(r["theory_bound"])
+                   for m, r in zip(measured, rows))
+
+    def test_measured_at_exact_zero(self, capsys):
+        # L_1(alpha + 1) = 0 exactly: a relative error was 0/0 (exit 3)
+        code, out = _run(capsys, "errlab", "--x", "1", "--n", "5",
+                         "--measure")
+        assert code == 0
+        rows = _rows(out)
+        assert len(rows) == 4
+        assert all(math.isfinite(float(r[c])) for r in rows for c in (
+            "measured_err", "simulated_err", "theory_bound"))
 
     def test_measure_runs_one_oracle_series(self, capsys, mp_series_calls):
         code, out = _run(capsys, "errlab", "--x", "0.1", "--n", "30",

@@ -163,20 +163,27 @@ class TestSimulation:
 
 class TestMeasured:
     def test_small_degree_error_tiny(self):
-        # entry n-1 is degree n
+        # entry n is degree n
         assert measure_actual_error(0.0, 6, 0.3)[4] < 1e-14
 
     def test_delta_mode_beats_standard_at_small_x(self):
         # averaged over a few degrees; the improvement is the module's point
         x, degrees = 0.01, [80, 90, 100]
-        idx = np.array(degrees) - 1
-        std = np.mean(measure_actual_error(0.0, 101, x)[idx])
-        mod = np.mean(measure_actual_error(0.0, 101, x, mode="delta")[idx])
+        std = np.mean(measure_actual_error(0.0, 101, x)[degrees])
+        mod = np.mean(measure_actual_error(0.0, 101, x, mode="delta")[degrees])
         assert mod < std
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             measure_actual_error(0.0, 5, 0.3, mode="bogus")
+
+    @pytest.mark.parametrize("alpha, x", [(math.inf, 0.3), (0.0, math.inf)])
+    def test_infinite_input_rejected(self, alpha, x):
+        # the oracle's int series has no infinity to carry it through; the
+        # double series before it only overflows
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match="must be finite"):
+            measure_actual_error(alpha, 5, x)
 
     @pytest.mark.parametrize("mode", ["standard", "delta"])
     @pytest.mark.parametrize("x", [0.05, 0.2])
@@ -185,12 +192,12 @@ class TestMeasured:
         # slicing one series of degree 100 gives, bitwise, the error of
         # a degree-n double series against a degree-n 24-digit series
         errs = measure_actual_error(alpha, 100, x, mode)
-        assert errs.shape == (99,)
+        assert errs.shape == (101,)
         evaluate = (eval_poly_standard if mode == "standard"
                     else eval_poly_modified)
         with mp.workdps(24):
-            for n in (1, 7, 99):
+            for n in (0, 1, 7, 100):
                 val = evaluate(LagParams(alpha=alpha, n=n), x).values[n]
                 ref = _poly_series_mpf(mp.mpf(alpha), n, mp.mpf(x))[n]
-                expect = float(abs((mp.mpf(float(val)) - ref) / ref))
-                assert errs[n - 1] == expect
+                expect = float(abs(mp.mpf(float(val)) - ref))
+                assert errs[n] == expect

@@ -81,7 +81,8 @@ def _mpf_operator_nodes(ctx, alpha, N: int):
 
 
 class TestBitwiseSeries:
-    """The raw-libmp series equals the mpf-operator one, tuple for tuple."""
+    """The int-mantissa series equals the mpf-operator one, tuple for
+    tuple."""
 
     ALPHAS = [0.0, 0.5, 0.7015463661686019, 1e-9, 3.3, -0.5]
     DEGREES = [0, 1, 2, 255]
@@ -110,6 +111,37 @@ class TestBitwiseSeries:
         oracle._step_factors.cache_clear()
         for digits in (24, 30, 64, 24):
             self._check(alpha, n, digits)
+
+    @pytest.mark.parametrize("prec", [4, 5, 8, 13, 53])
+    def test_matches_mpf_operators_at_low_precision(self, prec):
+        # at a few bits, half-way ties and carries to 2**prec are common;
+        # the inputs carry 53 bits, so the factors round as well
+        rng = np.random.default_rng(prec)
+        with mp.workprec(53):
+            alphas = [mp.mpf(float(v)) for v in rng.uniform(-0.99, 4.0, 20)]
+            dyadic = [mp.mpf(int(m)) / 2 ** int(j) for m, j in zip(
+                rng.integers(1, 2000, 40), rng.integers(0, 8, 40))]
+        with mp.workprec(prec):
+            for i, a in enumerate(alphas):
+                for x in dyadic[2 * i:2 * i + 2] + [a + 1]:
+                    got = [v._mpf_ for v in _poly_series_mpf(a, 40, x)]
+                    ref = [v._mpf_ for v in _mpf_operator_series(a, 40, x)]
+                    assert got == ref, (prec, a, x)
+                # x = alpha + 1 at this precision makes L_1 exactly 0
+                assert got[1] == ref[1] == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("prec", [4, 5, 8, 13, 53, 113])
+    def test_newton_sum_matches_mpf_sum(self, prec):
+        # the Newton derivative's sum: a node hardly feels its last bits,
+        # so it is compared with mpf's sum directly, over series whose
+        # terms change sign and span many binades
+        rng = np.random.default_rng(prec)
+        with mp.workprec(prec):
+            for a, x in zip(rng.uniform(-0.99, 4.0, 12),
+                            rng.uniform(0.0, 60.0, 12)):
+                vals = _mpf_operator_series(mp.mpf(a), 40, mp.mpf(x))
+                got = oracle._sum([oracle._pair(v) for v in vals], prec)
+                assert oracle._mpf(got)._mpf_ == sum(vals)._mpf_, (a, x)
 
     @pytest.mark.parametrize("digits", [24, 64])
     def test_wide_inputs_are_not_rounded_first(self, digits):
