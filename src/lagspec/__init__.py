@@ -8,7 +8,6 @@ from .recurrence import (
     eval_poly_derivative,
     eval_fun_standard,
     eval_fun_modified,
-    eval_fun_stable,
     eval_fun_derivative,
     fun_series_stable,
     fun_value_deriv_stable,

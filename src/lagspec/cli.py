@@ -129,7 +129,7 @@ def _setup_case(args) -> problems.CaseSetup:
 def cmd_solve(args) -> int:
     setup = _setup_case(args)
     sol = spectral.solve(setup.problem, args.n, args.m, args.beta)
-    rep = spectral.error_norms(sol, setup.problem)
+    rep = spectral.error_norms(sol)
     _write_rows(args, ["N", "beta", "l2_error", "h1_error"],
                 [(args.n, _fmt(args.beta), _fmt(rep.l2_error),
                   _fmt(rep.h1_semi_error))])

@@ -158,17 +158,17 @@ def abs_error_bound(inp: ErrorBoundInput) -> float:
 
 
 def zeta_envelopes(alpha: float, n_max: int, x: float,
-                   mode: str = "standard",
-                   eps: float = DOUBLE_EPS) -> np.ndarray:
+                   mode: str = "standard") -> np.ndarray:
     """Per-step perturbation envelopes of steps ``n = 1 .. n_max-1``.
 
     Entry ``n-1`` bounds the perturbation of step n, from one series of
-    degree ``n_max``:
+    degree ``n_max``, with ``eps`` = ``DOUBLE_EPS``:
 
     * ``mode="standard"``: ``(2 + x/(n+1)) |L_n| eps + |L_{n-1}| eps``,
     * ``mode="delta"``: ``(|dL_n| + (x/(n+1)) |L_n|) eps`` with
       ``dL_n = L_n - L_{n-1}`` from the difference recurrence.
     """
+    eps = DOUBLE_EPS
     params = LagParams(alpha=alpha, n=n_max)
     n = np.arange(1, n_max)
     if mode == "standard":
@@ -183,30 +183,27 @@ def zeta_envelopes(alpha: float, n_max: int, x: float,
 
 
 def simulate_error_propagation(alpha: float, n_max: int, x: float,
-                               mode: str = "standard", rng_seed: int = 0,
-                               eps: float = DOUBLE_EPS,
-                               e1: float | None = None) -> np.ndarray:
+                               mode: str = "standard", rng_seed: int = 0
+                               ) -> np.ndarray:
     """Simulate the error recurrence with random per-step perturbations.
 
-    ``zeta_n`` is drawn uniformly from ``[-env_n, +env_n]`` where the
-    envelope comes from :func:`zeta_envelopes` in the same mode.  Returns
-    the trajectory ``e_0 .. e_{n_max}``; deterministic for a given seed.
+    Starts from ``e_1 = |1 + alpha - x| DOUBLE_EPS``; each ``zeta_n`` is
+    drawn uniformly from ``[-env_n, +env_n]``, the :func:`zeta_envelopes`
+    of the same mode.  Returns ``e_0 .. e_{n_max}``; deterministic per seed.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    env = zeta_envelopes(alpha, n_max, x, mode, eps)
+    env = zeta_envelopes(alpha, n_max, x, mode)
     zeta = rng.uniform(-env, env)
-    if e1 is None:
-        e1 = abs(1.0 + alpha - x) * eps
     e = np.zeros(n_max + 1)
-    e[1] = e1
+    e[1] = abs(1.0 + alpha - x) * DOUBLE_EPS
     if mode == "standard":
         for n in range(1, n_max):
             e[n + 1] = ((2.0 * n + alpha + 1.0 - x) / (n + 1.0) * e[n]
                         - (n + alpha) / (n + 1.0) * e[n - 1] + zeta[n - 1])
     else:
-        d = e1
+        d = e[1]
         for n in range(1, n_max):
             d = (n + alpha) / (n + 1.0) * d - x / (n + 1.0) * e[n] + zeta[n - 1]
             e[n + 1] = e[n] + d

@@ -90,10 +90,7 @@ def nodes_eigen_seed(alpha: float, N: int) -> np.ndarray:
     ``2j + alpha + 1`` and off-diagonal ``-sqrt(j (j + alpha))`` and returns
     its ascending eigenvalues.
     """
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must be > -1, got {alpha}")
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    LagParams(alpha=alpha, n=N)  # the check of (alpha, N)
     j = np.arange(N + 1, dtype=float)
     diag = 2.0 * j + alpha + 1.0
     off = -np.sqrt(j[1:] * (j[1:] + alpha))
@@ -187,10 +184,6 @@ def gauss_rule(alpha: float, N: int) -> GaussRule:
     with the function value ``Lhat_N = exp(-x/2) L_N`` which stays O(1) at
     the nodes for any N.
     """
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must be > -1, got {alpha}")
-    if N < 0:
-        raise ValueError("N must be >= 0")
     nodes = _gauss_nodes(alpha, N)
     lhat, _ = fun_value_deriv_stable(LagParams(alpha=alpha, n=N), nodes)
     log_ratio = (math.lgamma(N + alpha + 1.0) - math.log(N + alpha + 1.0)
@@ -209,8 +202,7 @@ def gauss_radau_rule(alpha: float, N: int) -> GaussRule:
     degree-(N+1) polynomial, which coincide with the degree-N Gauss nodes
     of the (alpha+1) family.
     """
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must be > -1, got {alpha}")
+    params = LagParams(alpha=alpha, n=N)
     if N < 1:
         raise ValueError("Gauss-Radau rule needs N >= 1")
     interior = _gauss_nodes(alpha + 1.0, N - 1)
@@ -218,7 +210,7 @@ def gauss_radau_rule(alpha: float, N: int) -> GaussRule:
 
     w0 = math.exp(math.log(alpha + 1.0) + 2.0 * math.lgamma(alpha + 1.0)
                   + math.lgamma(N + 1.0) - math.lgamma(N + alpha + 2.0))
-    lhat, _ = fun_value_deriv_stable(LagParams(alpha=alpha, n=N), interior)
+    lhat, _ = fun_value_deriv_stable(params, interior)
     log_ratio = (math.lgamma(N + alpha + 1.0) - math.lgamma(N + 1.0)
                  - math.log(N + alpha + 1.0))
     log_fun_w = log_ratio - 2.0 * np.log(np.abs(lhat))

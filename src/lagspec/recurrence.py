@@ -11,13 +11,13 @@ Three evaluation routes are provided:
   ``exp(-x/2)`` into the iteration in small portions, so Laguerre functions
   of degree 1000+ can be evaluated at large arguments without overflow or
   underflow.  It is written once, as the array kernel behind
-  ``fun_series_stable`` and ``fun_value_deriv_stable``; ``eval_fun_stable``
-  is the kernel's value at one point.  The kernel checks for points to
-  rescale every few steps, an interval derived from the largest abscissa
-  and the headroom the rescale threshold ``_K1`` leaves below overflow,
-  and hands back finished values, finalizing a series a few rows at a
-  time.  The thresholds are private constants: no result depends on them
-  beyond the final rounding, and the tests vary them to show it.
+  ``fun_series_stable`` and ``fun_value_deriv_stable``.  The kernel checks
+  for points to rescale every few steps, an interval derived from the
+  largest abscissa and the headroom the rescale threshold ``_K1`` leaves
+  below overflow, and hands back finished values, finalizing a series a
+  few rows at a time.  The thresholds are private constants: no result
+  depends on them beyond the final rounding, and the tests vary them to
+  show it.
 
 Every evaluator takes a scalar ``x`` (a series of shape ``(n+1,)``) or an
 array of any shape (a series of shape ``(n+1,) + x.shape``, entry
@@ -42,7 +42,6 @@ __all__ = [
     "eval_poly_derivative",
     "eval_fun_standard",
     "eval_fun_modified",
-    "eval_fun_stable",
     "eval_fun_derivative",
     "fun_series_stable",
     "fun_value_deriv_stable",
@@ -54,18 +53,19 @@ __all__ = [
 class LagParams:
     """Family exponent and degree of a generalized Laguerre evaluation.
 
-    ``alpha`` must be > -1 (integrability of the weight ``x^alpha e^-x``),
-    ``n`` is the highest degree requested.
+    ``alpha`` must be finite and > -1 (integrability of the weight
+    ``x^alpha e^-x``), ``n``, the highest degree requested, an integer >= 0.
+    Every evaluator and rule checks its (alpha, degree) through this class.
     """
 
     alpha: float
     n: int
 
     def __post_init__(self) -> None:
-        if not self.alpha > -1.0:
-            raise ValueError(f"alpha must be > -1, got {self.alpha}")
-        if self.n < 0:
-            raise ValueError(f"degree must be >= 0, got {self.n}")
+        if not -1.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and > -1, got {self.alpha}")
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 0):
+            raise ValueError(f"degree must be an integer >= 0, got {self.n}")
 
 
 @dataclass
@@ -223,16 +223,6 @@ def eval_fun_modified(params: LagParams, x) -> LagSeries:
     """
     xs = _abscissae(x)
     return _difference(params, xs, _exp(-xs / 2.0))
-
-
-def eval_fun_stable(params: LagParams, x: float) -> float:
-    """Overflow/underflow-safe ``exp(-x/2) L_n(x)`` at one abscissa: the
-    value of :func:`fun_value_deriv_stable`, as a Python float.
-
-    Each call runs the array kernel's n steps for one point, so callers
-    with many abscissae make one array call instead.
-    """
-    return float(fun_value_deriv_stable(params, float(x))[0])
 
 
 def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,

@@ -7,14 +7,14 @@ matrices are tridiagonal with closed-form entries, so one solve costs
 O(N); right-hand sides and error norms are evaluated by Gauss quadrature
 in the scaled variable using function-form weights.
 
-The basis lives in ``y``, so it does not depend on beta.  A solve is split
-into the basis at the nodes of two rules, kept per ``(N, M)`` in a cache
-bounded by bytes: psi at the (M+1)-point rule of the load vector, and psi,
-dpsi at the (2M+3)-point rule of the error norms; and an apply step, run per
-beta, that samples ``f(y/beta)``, projects it with one matrix-vector
-product, solves the tridiagonal system and takes the norms from the second
-rule's matrices.  Solves and sweeps at the same ``(N, M)``, such as the
-sweeps of several problems over one grid of N, share the basis.
+The basis lives in ``y``, so it does not depend on beta.  It is built at
+the nodes of two rules and kept per ``(N, M)`` in a cache bounded by bytes:
+psi at the (M+1)-point rule of the load vector, and psi, dpsi at the
+(2M+3)-point rule of the error norms.  ``solve`` runs ``project_rhs``
+(``f(y/beta)`` sampled and projected with one matrix-vector product),
+``assemble_system`` and a banded Cholesky solve; ``error_norms`` reads the
+second rule's matrices.  Solves and sweeps at the same ``(N, M)``, such as
+the sweeps of several problems over one grid of N, share the bases.
 """
 
 from __future__ import annotations
@@ -182,22 +182,21 @@ def _build_basis(N: int, K: int, deriv: bool) -> _RuleBasis:
     return _RuleBasis(rule.nodes, rule.fun_weights, psi, dpsi)
 
 
-def _load_basis(N: int, M: int) -> _RuleBasis:
-    # every solve builds its load rule here first, so (N, M) is checked here
+def project_rhs(problem: ModelProblem, N: int, M: int, beta: float
+                ) -> np.ndarray:
+    """Load vector ``b[n] = (g/beta^2, psi_n)`` by (M+1)-point quadrature.
+
+    ``g(y) = f(y/beta)`` is sampled at the Gauss nodes of the scaled
+    variable; with function-form weights this equals the inner product of
+    the degree-M interpolant exactly.
+    """
+    # every solve projects here first, so N, M and beta are checked here;
+    # beta * beta gives inf where beta ** 2 raises OverflowError
     if N < 1:
         raise ValueError("N must be >= 1")
     if M < N + 1:
         raise ValueError("quadrature order M must be >= N + 1")
-    return _rule_basis(N, M, False)
-
-
-def _norm_basis(N: int, M: int) -> _RuleBasis:
-    return _rule_basis(N, 2 * M + 2, True)
-
-
-def _load(rb: _RuleBasis, problem: ModelProblem, beta: float) -> np.ndarray:
-    # every solve samples f here first, so this is where beta is checked;
-    # beta * beta gives inf where beta ** 2 raises OverflowError
+    rb = _rule_basis(N, M, False)
     b2 = beta * beta
     if not (0.0 < beta < math.inf and 0.0 < b2 < math.inf
             and 0.0 < problem.gamma / b2 < math.inf):
@@ -211,32 +210,6 @@ def _load(rb: _RuleBasis, problem: ModelProblem, beta: float) -> np.ndarray:
     return rb.psi @ (g * rb.w) / beta ** 2
 
 
-def _apply(rb: _RuleBasis, problem: ModelProblem, beta: float
-           ) -> SpectralSolution:
-    N = rb.psi.shape[0]
-    b = _load(rb, problem, beta)
-    diag, off = assemble_system(N, problem.gamma / beta ** 2)
-    ab = np.zeros((2, N))
-    ab[0, 1:] = off
-    ab[1] = diag
-    coeffs = solveh_banded(ab, b)
-    if not np.all(np.isfinite(coeffs)):
-        raise ArithmeticError("Galerkin solve produced non-finite coefficients")
-    return SpectralSolution(N=N, M=rb.y.size - 1, beta=beta, coeffs=coeffs,
-                            problem=problem)
-
-
-def project_rhs(problem: ModelProblem, N: int, M: int, beta: float
-                ) -> np.ndarray:
-    """Load vector ``b[n] = (g/beta^2, psi_n)`` by (M+1)-point quadrature.
-
-    ``g(y) = f(y/beta)`` is sampled at the Gauss nodes of the scaled
-    variable; with function-form weights this equals the inner product of
-    the degree-M interpolant exactly.
-    """
-    return _load(_load_basis(N, M), problem, beta)
-
-
 def solve(problem: ModelProblem, N: int, M: int | None = None,
           beta: float = 1.0) -> SpectralSolution:
     """Galerkin solve with N basis functions at scaling factor beta.
@@ -247,11 +220,21 @@ def solve(problem: ModelProblem, N: int, M: int | None = None,
     """
     if M is None:
         M = 2 * N
-    return _apply(_load_basis(N, M), problem, beta)
+    b = project_rhs(problem, N, M, beta)
+    diag, off = assemble_system(N, problem.gamma / beta ** 2)
+    ab = np.zeros((2, N))
+    ab[0, 1:] = off
+    ab[1] = diag
+    coeffs = solveh_banded(ab, b)
+    if not np.all(np.isfinite(coeffs)):
+        raise ArithmeticError("Galerkin solve produced non-finite coefficients")
+    return SpectralSolution(N=N, M=M, beta=beta, coeffs=coeffs,
+                            problem=problem)
 
 
-def _norms_at_order(sol: SpectralSolution, problem: ModelProblem,
-                    rb: _RuleBasis) -> tuple[float, float]:
+def _norms_at_order(sol: SpectralSolution, rb: _RuleBasis
+                    ) -> tuple[float, float]:
+    problem = sol.problem
     if problem.u_exact is None:
         raise ValueError("problem has no exact solution to compare against")
     y, w = rb.y, rb.w
@@ -269,22 +252,20 @@ def _norms_at_order(sol: SpectralSolution, problem: ModelProblem,
     return l2_y / math.sqrt(beta), h1_y * math.sqrt(beta)
 
 
-def error_norms(sol: SpectralSolution, problem: ModelProblem | None = None,
+def error_norms(sol: SpectralSolution, *,
                 check_quadrature: bool = False) -> ErrorReport:
-    """L2 and H1-seminorm errors against the exact solution.
+    """L2 and H1-seminorm errors against the exact solution of
+    ``sol.problem``.
 
     Norm integrals use a (2M+3)-point rule in the scaled variable; with
     ``check_quadrature`` a (4M+1)-point re-evaluation estimates the
     quadrature-induced part of the reported error.
     """
-    if problem is None:
-        problem = sol.problem
-    l2, h1 = _norms_at_order(sol, problem, _norm_basis(sol.N, sol.M))
+    l2, h1 = _norms_at_order(sol, _rule_basis(sol.N, 2 * sol.M + 2, True))
     quad_est = None
     if check_quadrature:
         # a one-off check, four times the norm rule's size: not kept
-        l2b, _ = _norms_at_order(sol, problem,
-                                 _build_basis(sol.N, 4 * sol.M, True))
+        l2b, _ = _norms_at_order(sol, _build_basis(sol.N, 4 * sol.M, True))
         quad_est = abs(l2b - l2)
     return ErrorReport(l2_error=l2, h1_semi_error=h1, N=sol.N, beta=sol.beta,
                        quad_error_estimate=quad_est)
@@ -316,7 +297,7 @@ def beta_sweep(problem: ModelProblem, N_list: Sequence[int],
         for beta in beta_list:
             cell = {"l2_error": None, "h1_error": None, "error": None}
             try:
-                rep = error_norms(solve(problem, N, 2 * N, beta), problem)
+                rep = error_norms(solve(problem, N, 2 * N, beta))
                 cell.update(l2_error=rep.l2_error, h1_error=rep.h1_semi_error)
             except Exception as exc:
                 cell["error"] = str(exc)

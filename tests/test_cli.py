@@ -112,9 +112,8 @@ class TestCompare:
         assert mp_series_calls == [7] * 8
 
     def test_one_stable_kernel_call_over_all_nodes(self, capsys, monkeypatch):
-        # eval_fun_stable goes through the same name, so a per-node stable
-        # column would be counted here too; the standard and modified
-        # columns likewise come from one array call each
+        # the stable column is one kernel call over all nodes, and the
+        # standard and modified columns likewise one array call each
         names = ("fun_value_deriv_stable", "eval_poly_standard",
                  "eval_poly_modified")
         sizes = {name: [] for name in names}

@@ -66,6 +66,12 @@ class TestSeeds:
         with pytest.raises(ValueError):
             nodes_eigen_seed(0.0, -1)
 
+    @pytest.mark.parametrize("rule", [gauss_rule, gauss_radau_rule])
+    def test_infinite_alpha_is_a_usage_error(self, rule):
+        # rejected by LagParams, not by the eigensolver
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            rule(math.inf, 3)
+
 
 class TestNewton:
     def test_refined_nodes_are_roots(self):

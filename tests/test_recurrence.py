@@ -16,7 +16,6 @@ from lagspec.recurrence import (
     LagParams,
     eval_fun_derivative,
     eval_fun_modified,
-    eval_fun_stable,
     eval_fun_standard,
     eval_poly_derivative,
     eval_poly_modified,
@@ -35,6 +34,20 @@ class TestParams:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             LagParams(alpha=0.0, n=-1)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            LagParams(alpha, 3)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
+    def test_degree_must_be_an_integer(self, n):
+        with pytest.raises(ValueError,
+                           match="degree must be an integer >= 0"):
+            LagParams(0.0, n)
+
+    def test_numpy_integer_degree_accepted(self):
+        assert LagParams(0.0, np.int64(3)).n == 3
 
     def test_negative_abscissa_rejected(self):
         with pytest.raises(ValueError):
@@ -149,13 +162,14 @@ class TestFunctionRoutes:
         p = LagParams(0.0, 30)
         for x in (0.1, 3.0, 40.0):
             direct = eval_fun_standard(p, x).values[-1]
-            assert eval_fun_stable(p, x) == pytest.approx(direct, rel=1e-10)
+            assert fun_value_deriv_stable(p, x)[0] == pytest.approx(
+                direct, rel=1e-10)
 
     def test_stable_small_degrees(self):
-        assert eval_fun_stable(LagParams(0.0, 0), 2.0) == pytest.approx(
-            math.exp(-1.0))
-        assert eval_fun_stable(LagParams(0.5, 1), 2.0) == pytest.approx(
-            (1.5 - 2.0 + 1.0 - 1.0) * math.exp(-1.0))
+        assert fun_value_deriv_stable(LagParams(0.0, 0), 2.0)[0] == \
+            pytest.approx(math.exp(-1.0))
+        assert fun_value_deriv_stable(LagParams(0.5, 1), 2.0)[0] == \
+            pytest.approx((1.5 - 2.0 + 1.0 - 1.0) * math.exp(-1.0))
 
     def test_stable_survives_where_direct_fails(self):
         # large degree and large argument: the direct route loses everything
@@ -163,7 +177,7 @@ class TestFunctionRoutes:
         x = 3000.0
         direct = eval_fun_standard(p, x).values[-1]
         assert direct == 0.0 or not math.isfinite(direct)
-        val = eval_fun_stable(p, x)
+        val, _ = fun_value_deriv_stable(p, x)
         assert math.isfinite(val)
 
     def test_series_stable_scalar_vs_array(self):
@@ -180,20 +194,6 @@ class TestFunctionRoutes:
         for x in (1.0, 300.0, 700.0):
             ref = float(hp_eval(hp_ctx, 0.0, 200, x)[1])
             assert fun_series_stable(p, x)[-1] == pytest.approx(ref, rel=1e-11)
-
-    @pytest.mark.parametrize("x", [0.0, 0.3, 40.0, 3000.0])
-    @pytest.mark.parametrize("n", [0, 1, 2, 500])
-    def test_eval_fun_stable_is_kernel_value(self, n, x):
-        p = LagParams(0.5, n)
-        val = eval_fun_stable(p, x)
-        assert type(val) is float
-        assert np.float64(val).tobytes() == \
-            np.float64(fun_value_deriv_stable(p, x)[0]).tobytes()
-
-    @pytest.mark.parametrize("x", [float("nan"), -0.5])
-    def test_eval_fun_stable_rejects_bad_abscissa(self, x):
-        with pytest.raises(ValueError, match="must be >= 0"):
-            eval_fun_stable(LagParams(0.5, 3), x)
 
     def test_value_deriv_value_matches_series(self):
         p = LagParams(0.0, 80)
@@ -293,7 +293,6 @@ class TestArrayConvention:
         assert all(type(v) is np.float64
                    for v in fun_value_deriv_stable(p, 2.0))
         assert fun_series_stable(p, 2.0).shape == (n + 1,)
-        assert type(eval_fun_stable(p, 2.0)) is float
 
 
 @pytest.fixture(scope="module")

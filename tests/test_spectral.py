@@ -1,9 +1,11 @@
 """Tests for the half-line Galerkin solver and the benchmark cases."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 
 from lagspec import spectral
 from lagspec.problems import make_case
@@ -182,6 +184,10 @@ class TestRhsAndSolve:
         A = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         residual = A @ sol.coeffs - b
         assert np.max(np.abs(residual)) < 1e-10
+        # solve is exactly these public steps
+        ab = np.zeros((2, N))
+        ab[0, 1:], ab[1] = off, diag
+        assert sol.coeffs.tobytes() == solveh_banded(ab, b).tobytes()
 
     def test_default_m_is_2n(self):
         case = make_case("u1")
@@ -208,19 +214,27 @@ class TestErrorNorms:
         prob = ModelProblem(gamma=case.problem.gamma, f=case.problem.f,
                             u_exact=lambda x: sol.evaluate(x),
                             u_exact_prime=None)
-        rep = error_norms(sol, prob)
+        rep = error_norms(dataclasses.replace(sol, problem=prob))
         assert rep.l2_error <= 1e-13
+
+    def test_problem_argument_rejected(self):
+        # norms are taken against sol.problem; a second positional argument
+        # must not turn the quadrature check on
+        case = make_case("u1")
+        sol = solve(case.problem, 8, 16, 1.0)
+        with pytest.raises(TypeError):
+            error_norms(sol, case.problem)
 
     def test_missing_exact_solution_rejected(self):
         prob = ModelProblem(gamma=1.0, f=lambda x: np.zeros_like(x))
         sol = solve(prob, 4, 8, 1.0)
         with pytest.raises(ValueError):
-            error_norms(sol, prob)
+            error_norms(sol)
 
     def test_report_type_and_echo(self):
         case = make_case("u1")
         sol = solve(case.problem, 16, 32, 2.0)
-        rep = error_norms(sol, case.problem)
+        rep = error_norms(sol)
         assert isinstance(rep, ErrorReport)
         assert rep.N == 16 and rep.beta == 2.0
         assert rep.l2_error >= 0 and rep.h1_semi_error >= 0
@@ -228,7 +242,7 @@ class TestErrorNorms:
     def test_quadrature_check_field(self):
         case = make_case("u1")
         sol = solve(case.problem, 16, 32, 2.0)
-        rep = error_norms(sol, case.problem, check_quadrature=True)
+        rep = error_norms(sol, check_quadrature=True)
         assert rep.quad_error_estimate is not None
         assert rep.quad_error_estimate < rep.l2_error
 
@@ -238,7 +252,7 @@ class TestErrorNorms:
         errs = []
         for N in (16, 32, 64):
             sol = solve(case.problem, N, 2 * N, beta)
-            errs.append(error_norms(sol, case.problem).l2_error)
+            errs.append(error_norms(sol).l2_error)
         assert errs[0] / errs[1] >= 10
         assert errs[1] / errs[2] >= 10
 
@@ -260,7 +274,7 @@ class TestSweep:
         case = make_case("u1")
         cells = beta_sweep(case.problem, [16], [2.0])
         sol = solve(case.problem, 16, 32, 2.0)
-        rep = error_norms(sol, case.problem)
+        rep = error_norms(sol)
         assert len(cells) == 1
         assert cells[0]["l2_error"] == pytest.approx(rep.l2_error, rel=1e-12)
 
@@ -324,7 +338,8 @@ class TestSweepPlan:
         assert sorted(calls) == [8, 8, 16, 16]
 
     def test_rule_bases_equal_basis_matrices_bitwise(self):
-        load, norms = spectral._load_basis(8, 16), spectral._norm_basis(8, 16)
+        load = spectral._rule_basis(8, 16, False)
+        norms = spectral._rule_basis(8, 34, True)
         # the load rule's basis is psi only
         assert load.dpsi is None
         for rb in (load, norms):
@@ -336,8 +351,7 @@ class TestSweepPlan:
         problem = make_case("u1", k=2.0, gamma=2.0).problem
         cells = beta_sweep(problem, [8, 16], self.BETAS)
         for c in cells:
-            rep = error_norms(solve(problem, c["N"], 2 * c["N"], c["beta"]),
-                              problem)
+            rep = error_norms(solve(problem, c["N"], 2 * c["N"], c["beta"]))
             assert c["error"] is None
             assert c["l2_error"].hex() == rep.l2_error.hex()
             assert c["h1_error"].hex() == rep.h1_semi_error.hex()
@@ -420,7 +434,7 @@ class TestBasisCache:
         problem = make_case("u1").problem
         beta_sweep(problem, [8, 16], [1.0, 2.0])
         calls = _count_series(monkeypatch)
-        rep = error_norms(solve(problem, 16, 32, 4.47), problem)
+        rep = error_norms(solve(problem, 16, 32, 4.47))
         assert calls == []
         assert math.isfinite(rep.l2_error)
 
@@ -449,17 +463,18 @@ class TestBasisCache:
                             sum(spectral._basis_bytes(*k) for k in kept))
         problem = make_case("u1").problem
         beta_sweep(problem, [4, 8], [1.0])
-        error_norms(solve(problem, 4, 8, 2.0), problem)  # N=4 used last
+        error_norms(solve(problem, 4, 8, 2.0))  # N=4 used last
         beta_sweep(problem, [16], [1.0])
         assert list(spectral._bases) == kept
 
     def test_check_quadrature_basis_is_not_kept(self, cold_bases):
         problem = make_case("u1").problem
-        error_norms(solve(problem, 8, 16, 1.0), problem, check_quadrature=True)
+        error_norms(solve(problem, 8, 16, 1.0), check_quadrature=True)
         assert sorted(spectral._bases) == [(8, 16, False), (8, 34, True)]
 
     def test_cached_basis_is_read_only(self):
-        rb, load = spectral._norm_basis(8, 16), spectral._load_basis(8, 16)
+        rb = spectral._rule_basis(8, 34, True)
+        load = spectral._rule_basis(8, 16, False)
         for a in (rb.y, rb.w, rb.psi, rb.dpsi, load.psi):
             with pytest.raises(ValueError):
                 a[0] = 99.0

@@ -1,0 +1,106 @@
+"""Print one SHA-256 over a fixed set of lagspec outputs.
+
+Two checkouts that print the same digest compute the same bits for every
+output below, so "bitwise unchanged" is one command on each side:
+
+    python tools/output_digest.py          # from the repository root
+
+The outputs are ``beta_sweep`` cells of the three model cases, ``solve``
+coefficients with ``error_norms`` (quadrature check on), the solution's
+value and derivative, ``project_rhs``, Gauss and Radau rules at two
+(alpha, N), and the exact bytes and exit codes of CLI runs.  Floats enter
+the hash as their IEEE bytes (``float.hex``), arrays as ``tobytes()``.
+Only the standard library and lagspec are used; ``lagspec`` is imported
+from the ``src`` tree of the checkout that holds this file.  Add ``-v`` to
+print a digest per output.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from lagspec import cli, problems, quadrature, spectral  # noqa: E402
+
+CASES = {"u1": problems.make_case("u1", k=2.0, gamma=2.0).problem,
+         "u2": problems.make_case("u2", r=2.5, gamma=2.0).problem,
+         "u3": problems.make_case("u3").problem}
+
+CLI_RUNS = [
+    ["quad", "--n", "40", "--alpha", "0.5"],
+    ["quad", "--n", "33", "--kind", "radau"],
+    ["eval", "--n", "200", "--x", "150", "--alpha", "1.5"],
+    ["eval", "--n", "30", "--x", "0.7", "--method", "modified"],
+    ["compare", "--n", "24", "--alpha", "0.5"],
+    ["solve", "--case", "u2", "--n", "64", "--beta", "0.6"],
+    ["sweep", "--case", "u3", "--n-list", "8,16",
+     "--beta-list", "0.5,1,2", "--format", "json"],
+    ["errlab", "--x", "0.1", "--n", "60", "--measure"],
+    ["errlab", "--x", "0.1", "--n", "60", "--measure", "--mode", "delta"],
+    ["solve", "--case", "u1", "--n", "8", "--beta", "1e200"],
+]
+
+
+def _fl(v) -> bytes:
+    return b"None" if v is None else float(v).hex().encode()
+
+
+def _cells(cells) -> bytes:
+    return b";".join(b",".join((str(c["N"]).encode(), _fl(c["beta"]),
+                                _fl(c["l2_error"]), _fl(c["h1_error"]),
+                                str(c["error"]).encode()))
+                     for c in cells)
+
+
+def _cli(argv) -> bytes:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode()
+
+
+def outputs():
+    """``(name, bytes)`` for every output in the digest, in a fixed order."""
+    for name, prob in CASES.items():
+        cells = spectral.beta_sweep(prob, [8, 16, 24], [0.5, 1.0, 2.0, 4.0])
+        yield f"sweep {name}", _cells(cells)
+    for name, N, beta in (("u1", 32, 1.5), ("u2", 96, 0.6), ("u3", 48, 2.0)):
+        sol = spectral.solve(CASES[name], N, None, beta)
+        rep = spectral.error_norms(sol, check_quadrature=True)
+        yield f"solve {name}", sol.coeffs.tobytes()
+        yield f"norms {name}", b",".join(map(_fl, (
+            rep.l2_error, rep.h1_semi_error, rep.quad_error_estimate)))
+        probe = [0.0, 0.3, 1.7, 9.5, 40.0]
+        yield f"evaluate {name}", b",".join(
+            _fl(sol.evaluate(x)) + b"/" + _fl(sol.evaluate_deriv(x))
+            for x in probe)
+        yield f"project_rhs {name}", spectral.project_rhs(
+            CASES[name], N, 2 * N + 1, beta).tobytes()
+    for alpha, N in ((0.0, 120), (1.5, 300)):
+        for kind in quadrature.RuleKind:
+            rule = quadrature.cached_gauss_rule(alpha, N, kind)
+            yield f"rule {kind.value} {alpha} {N}", b"".join(
+                a.tobytes() for a in (rule.nodes, rule.weights,
+                                      rule.fun_weights))
+    for argv in CLI_RUNS:
+        yield "cli " + " ".join(argv), _cli(argv)
+
+
+def main(argv=None) -> int:
+    verbose = "-v" in (sys.argv[1:] if argv is None else argv)
+    total = hashlib.sha256()
+    for name, data in outputs():
+        total.update(name.encode() + b"\0" + data + b"\0")
+        if verbose:
+            print(hashlib.sha256(data).hexdigest()[:16], name)
+    print(total.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
