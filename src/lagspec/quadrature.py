@@ -2,10 +2,11 @@
 
 Nodes are seeded by the eigenvalues of the symmetric tridiagonal recurrence
 matrix and polished by Newton iterations driven by the stable function
-evaluation.  Weights are produced from the closed-form expressions with all
-Gamma ratios kept in log space and the squared basis value taken in
-function form, so rules with thousands of points neither overflow nor lose
-their weights to premature underflow.
+evaluation; a table keeps every abscissa evaluated, small passes are padded
+with neighbouring doubles, and the Gauss weights reuse the table's L_N.
+Weights come from the closed forms with all Gamma ratios kept in log space
+and the squared basis value in function form, so rules with thousands of
+points neither overflow nor lose their weights to premature underflow.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .recurrence import LagParams, fun_value_deriv_stable
+from .recurrence import LagParams, _value_deriv_prev, fun_value_deriv_stable
 
 __all__ = [
     "RuleKind",
@@ -36,6 +37,11 @@ _EPS = np.finfo(float).eps
 # step is at most this multiple of the node
 _NEWTON_MAX_ITERS = 10
 _NEWTON_REL_STEP_TOL = 4.0 * _EPS
+# A Newton pass is padded with neighbouring doubles up to this many points:
+# a degree-1000 kernel pass took 5.9 / 6.4 / 6.5 / 10.0 ms on 2 / 81 / 256 /
+# 1000 points (medians of 31, one thread of a 2-vCPU AVX-512 Xeon), so
+# points below this ride almost free
+_NEWTON_PAD_POINTS = 256
 
 
 class RuleKind(str, Enum):
@@ -112,66 +118,65 @@ def refine_newton(alpha: float, N: int, seeds: np.ndarray) -> np.ndarray:
     exponential scale cancels).  Iteration stops once every node's step is
     at most ``4 eps x``, or after 10 iterations.  A node that leaves the
     bracket formed by its neighbouring seed midpoints is reset to its seed
-    and reported via a warning.
+    and reported via a warning; an iterate due for evaluation that is no
+    abscissa (NaN where ``exp(-x/2) L`` underflows) is an ArithmeticError.
 
-    A step is a pointwise, deterministic map of the node (the recurrence
-    rescales by exact powers of two and finalizes through frexp, so a
-    node's value does not depend on the rest of the batch).  Once a node's
-    iterate equals one of its earlier iterates, bitwise, it repeats that
-    cycle forever, so its later iterates and step tests are copied from
-    its history instead of evaluated again.  That changes no bit of the
-    result; it only stops re-evaluating nodes that bounce between
-    neighbouring doubles while others still move.
+    A step is a pointwise, deterministic map (the recurrence rescales by
+    exact powers of two and finalizes through frexp), so each abscissa
+    evaluated goes into a table with its next iterate, step test and
+    ``exp(-x/2) L_N``, and is never evaluated again: a cycle between
+    neighbouring doubles costs nothing once it is in the table.  A pass
+    after the first also evaluates the doubles within m ulps of its
+    abscissae, where later iterates land, for the largest m >= 1 that keeps
+    it within ``_NEWTON_PAD_POINTS``.  Neither changes a bit of the result.
     """
+    return _newton(alpha, N, seeds)[0]
+
+
+def _newton(alpha: float, N: int, seeds: np.ndarray):
+    """``refine_newton``'s nodes, and ``exp(-x/2) L_N`` at each from its
+    table (NaN where Newton did not evaluate the node, and for N <= 1)."""
     seeds = np.asarray(seeds, dtype=float)
     if not (seeds.ndim == 1 and seeds.size and np.all(np.isfinite(seeds))
             and np.all(seeds > 0) and np.all(np.diff(seeds) > 0)):
         raise ValueError("seeds must be a nonempty 1-D array of finite, "
                          "positive, strictly increasing values")
+    LagParams(alpha=alpha, n=N + 1)  # the check of (alpha, N)
+    ends = np.concatenate(([0.0], 0.5 * (seeds[1:] + seeds[:-1]),
+                           [seeds[-1] * 2.0 + 1.0]))
 
-    lo = np.empty_like(seeds)
-    hi = np.empty_like(seeds)
-    mids = 0.5 * (seeds[1:] + seeds[:-1])
-    lo[0], lo[1:] = 0.0, mids
-    hi[-1], hi[:-1] = seeds[-1] * 2.0 + 1.0, mids
-
-    params = LagParams(alpha=alpha, n=N + 1)
-    # row k of xs is the k-th iterate, row k of small the k-th step test;
-    # period[j] > 0 once node j's iterate repeated the one period[j] back
-    xs = np.empty((_NEWTON_MAX_ITERS + 1, seeds.size))
-    small = np.empty((_NEWTON_MAX_ITERS, seeds.size), dtype=bool)
-    period = np.zeros(seeds.size, dtype=np.intp)
-    xs[0] = seeds
+    # one column per abscissa evaluated, sorted by it: the abscissa, its
+    # next iterate, its step test (1.0 passed) and exp(-x/2) L_N
+    tab, x = np.empty((4, 0)), seeds
     for k in range(_NEWTON_MAX_ITERS):
-        cyc = np.flatnonzero(period)
-        xs[k + 1, cyc] = xs[k + 1 - period[cyc], cyc]
-        small[k, cyc] = small[k - period[cyc], cyc]
-        live = np.flatnonzero(period == 0)
-        if live.size:
-            x = xs[k, live]
-            val, der = fun_value_deriv_stable(params, x)
+        pts = np.unique(x[~np.isin(x, tab[0])])
+        if pts.size:
+            j = np.argmin((x >= 0) & (x < np.inf))  # a non-abscissa first
+            if not 0 <= x[j] < np.inf:
+                raise ArithmeticError(f"Newton iterate {k}, node {j}: {x[j]}")
+            m = (_NEWTON_PAD_POINTS // pts.size - 1) // 2  # ulps per side
+            if k and m > 0:
+                near = pts + np.arange(-m, m + 1)[:, None] * np.spacing(pts)
+                pts = np.setdiff1d(np.maximum(near, 0.0), tab[0])
+            val, der, lhat = _value_deriv_prev(alpha, N + 1, pts)
             # L / L' = Lhat / (Lhat' + Lhat / 2): the exp(-x/2) scale cancels
             step = val / (der + 0.5 * val)
-            xs[k + 1, live] = x - step
-            small[k, live] = np.abs(step) <= _NEWTON_REL_STEP_TOL * x
-            # hit[i]: the new iterate equals iterate k - i (period i + 1)
-            hit = xs[k::-1, live] == xs[k + 1, live]
-            period[live] = np.where(hit.any(axis=0), hit.argmax(axis=0) + 1, 0)
-        if small[k].all():
+            tab = np.concatenate((tab, [
+                pts, pts - step, np.abs(step) <= _NEWTON_REL_STEP_TOL * pts,
+                np.full_like(pts, np.nan) if lhat is None else lhat]), axis=1)
+            tab = tab[:, np.argsort(tab[0])]
+        i = np.searchsorted(tab[0], x)
+        x = tab[1, i]
+        if tab[2, i].all():
             break
-    x = xs[k + 1].copy()
-    escaped = (x <= lo) | (x >= hi)
+    escaped = (x <= ends[:-1]) | (x >= ends[1:])
     if np.any(escaped):
-        warnings.warn(
-            f"Newton refinement escaped bracket at indices "
-            f"{np.flatnonzero(escaped).tolist()}; falling back to seeds",
-            RuntimeWarning)
+        warnings.warn(f"Newton refinement escaped bracket at indices "
+                      f"{np.flatnonzero(escaped).tolist()}; falling back to "
+                      f"seeds", RuntimeWarning)
         x[escaped] = seeds[escaped]
-    return x
-
-
-def _gauss_nodes(alpha: float, N: int) -> np.ndarray:
-    return refine_newton(alpha, N, nodes_eigen_seed(alpha, N))
+    i = np.minimum(np.searchsorted(tab[0], x), tab.shape[1] - 1)
+    return x, np.where(tab[0, i] == x, tab[3, i], np.nan)
 
 
 def gauss_rule(alpha: float, N: int) -> GaussRule:
@@ -182,17 +187,28 @@ def gauss_rule(alpha: float, N: int) -> GaussRule:
 
     assembled as ``exp(log-ratio + log x_j - x_j - 2 log|Lhat_N(x_j)|)``
     with the function value ``Lhat_N = exp(-x/2) L_N`` which stays O(1) at
-    the nodes for any N.
+    the nodes for any N.  ``Lhat_N`` comes from Newton's table; only final
+    nodes that Newton never evaluated get a degree-N pass of their own.
     """
-    nodes = _gauss_nodes(alpha, N)
-    lhat, _ = fun_value_deriv_stable(LagParams(alpha=alpha, n=N), nodes)
+    nodes, lhat = _newton(alpha, N, nodes_eigen_seed(alpha, N))
+    miss = np.isnan(lhat)
+    if miss.any():
+        lhat[miss] = fun_value_deriv_stable(LagParams(alpha=alpha, n=N),
+                                            nodes[miss])[0]
     log_ratio = (math.lgamma(N + alpha + 1.0) - math.log(N + alpha + 1.0)
                  - math.lgamma(N + 2.0))
     log_fun_w = log_ratio + np.log(nodes) - 2.0 * np.log(np.abs(lhat))
-    fun_weights = np.exp(log_fun_w)
-    weights = np.exp(log_fun_w - nodes)
+    fun_weights, weights = _weights(log_fun_w, nodes, "Gauss")
     return GaussRule(alpha=alpha, kind=RuleKind.GAUSS, nodes=nodes,
                      weights=weights, fun_weights=fun_weights)
+
+
+def _weights(log_fun_w: np.ndarray, nodes: np.ndarray, rule: str):
+    """Function and polynomial weights (only the latter may underflow)."""
+    fun_w = np.exp(log_fun_w)
+    if not np.all((fun_w > 0) & (fun_w < np.inf)):
+        raise ArithmeticError(f"{rule} rule weights leave the double range")
+    return fun_w, np.exp(log_fun_w - nodes)
 
 
 def gauss_radau_rule(alpha: float, N: int) -> GaussRule:
@@ -205,19 +221,24 @@ def gauss_radau_rule(alpha: float, N: int) -> GaussRule:
     params = LagParams(alpha=alpha, n=N)
     if N < 1:
         raise ValueError("Gauss-Radau rule needs N >= 1")
-    interior = _gauss_nodes(alpha + 1.0, N - 1)
+    interior = refine_newton(alpha + 1.0, N - 1,
+                             nodes_eigen_seed(alpha + 1.0, N - 1))
     nodes = np.concatenate(([0.0], interior))
 
-    w0 = math.exp(math.log(alpha + 1.0) + 2.0 * math.lgamma(alpha + 1.0)
-                  + math.lgamma(N + 1.0) - math.lgamma(N + alpha + 2.0))
+    try:
+        w0 = math.exp(math.log(alpha + 1.0) + 2.0 * math.lgamma(alpha + 1.0)
+                      + math.lgamma(N + 1.0) - math.lgamma(N + alpha + 2.0))
+    except OverflowError:
+        raise ArithmeticError("Gauss-Radau weight w0 at the origin leaves "
+                              "the double range") from None
     lhat, _ = fun_value_deriv_stable(params, interior)
     log_ratio = (math.lgamma(N + alpha + 1.0) - math.lgamma(N + 1.0)
                  - math.log(N + alpha + 1.0))
     log_fun_w = log_ratio - 2.0 * np.log(np.abs(lhat))
-    fun_weights = np.concatenate(([w0], np.exp(log_fun_w)))
-    weights = np.concatenate(([w0], np.exp(log_fun_w - interior)))
+    fun_w, w = _weights(log_fun_w, interior, "Gauss-Radau")
     return GaussRule(alpha=alpha, kind=RuleKind.GAUSS_RADAU, nodes=nodes,
-                     weights=weights, fun_weights=fun_weights)
+                     weights=np.concatenate(([w0], w)),
+                     fun_weights=np.concatenate(([w0], fun_w)))
 
 
 @functools.lru_cache(maxsize=64)

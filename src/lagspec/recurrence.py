@@ -238,8 +238,10 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
     leave this function.  Fills ``out``, shape ``(n+1, npts)``, with
     ``exp(-x/2) L_k``, finalizing the rows made since the last block before
     a check can change ``M`` and once ``_FINALIZE_ROWS`` wait, so the
-    finalizer's temporaries stay block-sized.  Without ``out`` (``n >= 1``)
-    returns ``exp(-x/2) L_n`` and ``exp(-x/2) (L_0 + .. + L_{n-1})``.
+    finalizer's temporaries stay block-sized.  Without ``out`` (``n >= 2``)
+    returns ``exp(-x/2)`` times ``L_n``, ``L_0 + .. + L_{n-1}`` and
+    ``L_{n-1}``, the last finalized before the last step (bitwise the
+    degree-``(n-1)`` value for ``n >= 3``, as rescaling is exact).
     """
     # A rescale is an exact power of two and finalizing goes through frexp,
     # so checking every K steps changes no result as long as nothing
@@ -265,6 +267,8 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
     if out is not None:
         out[0], out[1:2] = 1.0, L
     for k in range(1, n):
+        if k == n - 1 and out is None:
+            prev = _finalize(L, M, xs)
         dL *= k + alpha
         dL -= np.multiply(xs, L, out=tmp)
         dL /= k + 1.0
@@ -291,7 +295,7 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
     if not all(np.isfinite(v).all() for v in (L,) + sums):
         raise ArithmeticError("non-finite intermediate in rescaled recurrence")
     if out is None:
-        return _finalize(L, M, xs), _finalize(S - L, M, xs)
+        return _finalize(L, M, xs), _finalize(S - L, M, xs), prev
     out[done:] = _finalize(out[done:], M, xs)
 
 
@@ -320,18 +324,23 @@ def fun_value_deriv_stable(params: LagParams, x):
     lockstep with the iterate, so the ratio value/derivative stays accurate
     for Newton refinement of quadrature nodes.
     """
-    alpha, n = params.alpha, params.n
     shape = np.shape(x)
-    xs = np.ravel(_abscissae(x))
+    val, der, _ = _value_deriv_prev(params.alpha, params.n,
+                                    np.ravel(_abscissae(x)))
+    return val.reshape(shape)[()], der.reshape(shape)[()]
+
+
+def _value_deriv_prev(alpha: float, n: int, xs: np.ndarray):
+    """``fun_value_deriv_stable`` at 1-D ``xs`` and ``exp(-x/2) L_{n-1}``
+    from the same pass; ``None`` for n <= 2 (degree 1 is a closed form)."""
     if n <= 1:
         w = np.exp(-xs / 2.0)
         val = w if n == 0 else (1.0 + alpha - xs) * w
         der = -0.5 * w if n == 0 else -(alpha + 3.0 - xs) / 2.0 * w
-    else:
-        val, part = _rescaled_recurrence(alpha, n, xs)
-        # exp(-x/2) L_n' = -part; the prefactor's product rule adds -val/2
-        der = -part - 0.5 * val
-    return val.reshape(shape)[()], der.reshape(shape)[()]
+        return val, der, None
+    val, part, prev = _rescaled_recurrence(alpha, n, xs)
+    # exp(-x/2) L_n' = -part; the prefactor's product rule adds -val/2
+    return val, -part - 0.5 * val, prev if n >= 3 else None
 
 
 def eval_fun_derivative(params: LagParams, x) -> np.ndarray:

@@ -312,3 +312,16 @@ class TestExitCodes:
 
     def test_numeric_error_code_value(self):
         assert NUMERIC_ERROR == 3
+
+    # valid rules whose construction fails inside the library: a numeric
+    # failure naming the layer, not a usage error about the input
+    @pytest.mark.parametrize("argv, layer", [
+        (["quad", "--n", "10", "--alpha", "1e4"], "Newton iterate"),
+        (["quad", "--n", "10", "--alpha", "150"], "Gauss rule weights"),
+        (["quad", "--n", "1", "--kind", "radau", "--alpha", "1e3"],
+         "Gauss-Radau weight w0")])
+    def test_numeric_failure_names_its_layer(self, capsys, argv, layer):
+        with np.errstate(all="ignore"):
+            code = main(argv)
+        assert code == NUMERIC_ERROR
+        assert layer in capsys.readouterr().err

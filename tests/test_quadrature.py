@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_genlaguerre, roots_laguerre
 
-from lagspec import quadrature
+from lagspec import quadrature, recurrence
 from lagspec.quadrature import (
     GaussRule,
     RuleKind,
@@ -41,10 +41,54 @@ def _plain_newton(alpha, N, seeds):
     return x
 
 
-def _assert_matches_plain_newton(alpha, N):
+def _plain_rule(alpha, N, kind):
+    """Nodes, weights and function weights from ``_plain_newton`` and a
+    degree-N weight pass of their own, the bytes a rule must match."""
+    # Radau's interior nodes are the (alpha+1, N-1) Gauss nodes
+    radau = kind is RuleKind.GAUSS_RADAU
+    x = _plain_newton(alpha + radau, N - radau,
+                      nodes_eigen_seed(alpha + radau, N - radau))
+    lhat, _ = fun_value_deriv_stable(LagParams(alpha=alpha, n=N), x)
+    if kind is RuleKind.GAUSS:
+        log_fun_w = (math.lgamma(N + alpha + 1.0) - math.log(N + alpha + 1.0)
+                     - math.lgamma(N + 2.0) + np.log(x)
+                     - 2.0 * np.log(np.abs(lhat)))
+        return b"".join(v.tobytes() for v in (
+            x, np.exp(log_fun_w - x), np.exp(log_fun_w)))
+    w0 = math.exp(math.log(alpha + 1.0) + 2.0 * math.lgamma(alpha + 1.0)
+                  + math.lgamma(N + 1.0) - math.lgamma(N + alpha + 2.0))
+    log_fun_w = (math.lgamma(N + alpha + 1.0) - math.lgamma(N + 1.0)
+                 - math.log(N + alpha + 1.0) - 2.0 * np.log(np.abs(lhat)))
+    return b"".join(np.concatenate(([v0], v)).tobytes() for v0, v in (
+        (0.0, x), (w0, np.exp(log_fun_w - x)), (w0, np.exp(log_fun_w))))
+
+
+def _assert_matches_plain(alpha, N):
     seeds = nodes_eigen_seed(alpha, N)
     assert (refine_newton(alpha, N, seeds).tobytes()
             == _plain_newton(alpha, N, seeds).tobytes())
+    for kind in RuleKind:
+        if kind is RuleKind.GAUSS or N >= 1:
+            rule = (gauss_rule if kind is RuleKind.GAUSS
+                    else gauss_radau_rule)(alpha, N)
+            assert b"".join(v.tobytes() for v in (
+                rule.nodes, rule.weights, rule.fun_weights)) \
+                == _plain_rule(alpha, N, kind)
+
+
+@pytest.fixture
+def kernel_passes(monkeypatch):
+    """``(degree, points)`` of each rescaled-kernel pass while the test
+    runs; Newton and every stable view run through this name."""
+    original = recurrence._rescaled_recurrence
+    passes = []
+
+    def counted(alpha, n, xs, out=None):
+        passes.append((n, xs.size))
+        return original(alpha, n, xs, out)
+
+    monkeypatch.setattr(recurrence, "_rescaled_recurrence", counted)
+    return passes
 
 
 class TestSeeds:
@@ -98,42 +142,63 @@ class TestNewton:
         np.testing.assert_allclose(refine_newton(0.0, 9, seeds[2:6]),
                                    full[2:6], rtol=4e-15)
 
+    # N <= 2 covers the rules whose weights need a pass of their own (N <= 1)
+    # and the first one that reads them from Newton's table
     @pytest.mark.parametrize("alpha, N", [
         (0.0, 2048), (BENCH_ALPHA, 999), (0.0, 2050), (0.0, 999),
-        (1.0, 998)])
+        (1.0, 998), (0.5, 0), (0.5, 1), (2.0, 2)])
     def test_bitwise_equal_to_plain_loop(self, alpha, N):
-        _assert_matches_plain_newton(alpha, N)
+        _assert_matches_plain(alpha, N)
 
     @settings(max_examples=25, deadline=None)
     @given(alpha=st.floats(-0.9, 20.0, exclude_min=True),
            N=st.integers(0, 300))
     def test_bitwise_equal_to_plain_loop_property(self, alpha, N):
-        _assert_matches_plain_newton(alpha, N)
+        _assert_matches_plain(alpha, N)
 
-    # caps 7 and 9 stop these runs after every node has cycled, at a row
-    # of another phase than 10, so they check the copied step tests
+    # caps 7 and 9 stop these runs after every node has cycled, at another
+    # phase than 10, so they check the step tests read from the table; cap
+    # 1 leaves every final node unevaluated, so its weights need a pass
     @pytest.mark.parametrize("cap", [1, 2, 7, 9])
     @pytest.mark.parametrize("alpha, N", [(0.0, 2048), (BENCH_ALPHA, 999)])
     def test_bitwise_equal_at_iteration_cap(self, monkeypatch, cap, alpha,
                                             N):
         monkeypatch.setattr(quadrature, "_NEWTON_MAX_ITERS", cap)
-        _assert_matches_plain_newton(alpha, N)
+        _assert_matches_plain(alpha, N)
 
     def test_cycled_nodes_not_evaluated_again(self, monkeypatch):
         # at N = 2048 a few nodes bounce between neighbouring doubles, so
         # all 10 iterations run; the plain loop evaluates 10 x 2049 points
         seeds = nodes_eigen_seed(0.0, 2048)
         expected = _plain_newton(0.0, 2048, seeds)
+        original = quadrature._value_deriv_prev
         points = []
 
-        def counted(params, x):
-            points.append(np.size(x))
-            return fun_value_deriv_stable(params, x)
+        def counted(alpha, n, xs):
+            points.append(xs.size)
+            return original(alpha, n, xs)
 
-        monkeypatch.setattr(quadrature, "fun_value_deriv_stable", counted)
+        # every Newton pass runs through this name
+        monkeypatch.setattr(quadrature, "_value_deriv_prev", counted)
         nodes = refine_newton(0.0, 2048, seeds)
-        assert sum(points) <= 2.5 * 2049
+        assert points and sum(points) <= 2.5 * 2049
         assert nodes.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("alpha, N, most", [
+        (0.0, 2048, 4), (BENCH_ALPHA, 999, 4), (0.0, 2050, 5)])
+    def test_kernel_passes_per_rule(self, kernel_passes, alpha, N, most):
+        # Newton stops at its cap on all three, its final nodes are in its
+        # table, and the weights take L_N from there: no degree-N pass
+        gauss_rule(alpha, N)
+        assert 1 <= len(kernel_passes) <= most
+        assert all(n == N + 1 for n, _ in kernel_passes)
+
+    def test_iterate_that_is_no_abscissa_is_a_numeric_failure(self):
+        # at alpha = 1e4 exp(-x/2) L underflows at every seed, the step is
+        # 0/0, and the NaN iterate is due for evaluation on pass 1
+        with np.errstate(all="ignore"), pytest.raises(
+                ArithmeticError, match="Newton iterate 1, node 0: nan"):
+            gauss_rule(1e4, 10)
 
     def test_escaped_node_falls_back_to_seed(self):
         seeds = nodes_eigen_seed(0.0, 9)
@@ -187,6 +252,16 @@ class TestGaussRule:
         assert rule.npoints == 501
         assert np.all(np.isfinite(rule.fun_weights))
         assert np.all(rule.fun_weights > 0)
+
+    @pytest.mark.parametrize("rule, alpha, N, match", [
+        (gauss_rule, 150.0, 10, "Gauss rule weights"),
+        (gauss_radau_rule, 150.0, 10, "Gauss-Radau rule weights"),
+        (gauss_radau_rule, 1e3, 1, "Gauss-Radau weight w0")])
+    def test_weights_out_of_range_are_numeric_failures(self, rule, alpha, N,
+                                                       match):
+        with np.errstate(all="ignore"), pytest.raises(ArithmeticError,
+                                                      match=match):
+            rule(alpha, N)
 
     def test_validation_rejects_unsorted(self):
         with pytest.raises(ValueError):

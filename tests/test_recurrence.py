@@ -314,11 +314,17 @@ class TestRescaledKernel:
         p = LagParams(0.0, 2048)
         base = np.array(fun_value_deriv_stable(p, mids))
         base_series = fun_series_stable(p, probe)
+        base_prev = fun_value_deriv_stable(LagParams(0.0, 2047), mids)[0]
         monkeypatch.setattr(recurrence, "_K1", k1)
         monkeypatch.setattr(recurrence, "_K2", k2)
         other = np.array(fun_value_deriv_stable(p, mids))
         assert other.tobytes() == base.tobytes()
         assert fun_series_stable(p, probe).tobytes() == base_series.tobytes()
+        # the kernel's L_{n-1}, finalized before its last step, is the
+        # degree-(n-1) value under these thresholds and the default ones
+        prev = recurrence._rescaled_recurrence(0.0, 2048, mids)[2]
+        lower = fun_value_deriv_stable(LagParams(0.0, 2047), mids)[0]
+        assert prev.tobytes() == lower.tobytes() == base_prev.tobytes()
 
     @pytest.mark.parametrize("x", [1e4, 1e30, 1e100, 1e140])
     def test_huge_abscissae_stay_finite(self, x):

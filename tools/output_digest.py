@@ -8,11 +8,13 @@ output below, so "bitwise unchanged" is one command on each side:
 The outputs are ``beta_sweep`` cells of the three model cases, ``solve``
 coefficients with ``error_norms`` (quadrature check on), the solution's
 value and derivative, ``project_rhs``, Gauss and Radau rules at two
-(alpha, N), and the exact bytes and exit codes of CLI runs.  Floats enter
+(alpha, N), the rules of the benchmark's ``rules`` workload and a stalling
+Gauss rule at N=2050, and the exact bytes and exit codes of CLI runs.  Floats enter
 the hash as their IEEE bytes (``float.hex``), arrays as ``tobytes()``.
 Only the standard library and lagspec are used; ``lagspec`` is imported
 from the ``src`` tree of the checkout that holds this file.  Add ``-v`` to
-print a digest per output.
+print a digest per output.  The BLAS thread setting, which some products
+depend on, is printed next to the digest.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -30,6 +33,13 @@ from lagspec import cli, problems, quadrature, spectral  # noqa: E402
 CASES = {"u1": problems.make_case("u1", k=2.0, gamma=2.0).problem,
          "u2": problems.make_case("u2", r=2.5, gamma=2.0).problem,
          "u3": problems.make_case("u3").problem}
+
+_G, _R = quadrature.RuleKind.GAUSS, quadrature.RuleKind.GAUSS_RADAU
+# (alpha, N, kind): two small pairs in both kinds, the four rules of the
+# benchmark's ``rules`` workload (seed 1), and N=2050, whose Newton stalls
+RULES = ([(a, N, k) for a, N in ((0.0, 120), (1.5, 300)) for k in (_G, _R)]
+         + [(0.0, 999, _G), (0.0, 2048, _G), (0.0, 999, _R),
+            (0.7015463661686019, 999, _G), (0.0, 2050, _G)])
 
 CLI_RUNS = [
     ["quad", "--n", "40", "--alpha", "0.5"],
@@ -81,12 +91,10 @@ def outputs():
             for x in probe)
         yield f"project_rhs {name}", spectral.project_rhs(
             CASES[name], N, 2 * N + 1, beta).tobytes()
-    for alpha, N in ((0.0, 120), (1.5, 300)):
-        for kind in quadrature.RuleKind:
-            rule = quadrature.cached_gauss_rule(alpha, N, kind)
-            yield f"rule {kind.value} {alpha} {N}", b"".join(
-                a.tobytes() for a in (rule.nodes, rule.weights,
-                                      rule.fun_weights))
+    for alpha, N, kind in RULES:
+        rule = quadrature.cached_gauss_rule(alpha, N, kind)
+        yield f"rule {kind.value} {alpha} {N}", b"".join(
+            a.tobytes() for a in (rule.nodes, rule.weights, rule.fun_weights))
     for argv in CLI_RUNS:
         yield "cli " + " ".join(argv), _cli(argv)
 
@@ -98,7 +106,8 @@ def main(argv=None) -> int:
         total.update(name.encode() + b"\0" + data + b"\0")
         if verbose:
             print(hashlib.sha256(data).hexdigest()[:16], name)
-    print(total.hexdigest())
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    print(f"{total.hexdigest()}  OPENBLAS_NUM_THREADS={threads}")
     return 0
 
 
