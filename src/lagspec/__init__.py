@@ -2,7 +2,6 @@
 
 from .recurrence import (
     LagParams,
-    LagSeries,
     eval_poly_standard,
     eval_poly_modified,
     eval_poly_derivative,

@@ -67,9 +67,7 @@ def _write_rows(args, header, rows):
 
 
 def cmd_quad(args) -> int:
-    kind = (quadrature.RuleKind.GAUSS_RADAU if args.kind == "radau"
-            else quadrature.RuleKind.GAUSS)
-    rule = quadrature.cached_gauss_rule(args.alpha, args.n, kind)
+    rule = quadrature.cached_gauss_rule(args.alpha, args.n, args.kind)
     rows = [(i, _fmt(x), _fmt(w), _fmt(fw))
             for i, (x, w, fw) in enumerate(
                 zip(rule.nodes, rule.weights, rule.fun_weights))]
@@ -79,14 +77,11 @@ def cmd_quad(args) -> int:
 
 def cmd_eval(args) -> int:
     params = recurrence.LagParams(alpha=args.alpha, n=args.n)
-    if args.method == "standard":
-        values = recurrence.eval_poly_standard(params, args.x).values
-    elif args.method == "modified":
-        values = recurrence.eval_poly_modified(params, args.x).values
-    elif args.method == "fun":
-        values = recurrence.eval_fun_modified(params, args.x).values
-    else:  # stable
-        values = recurrence.fun_series_stable(params, args.x)
+    evaluate = {"standard": recurrence.eval_poly_standard,
+                "modified": recurrence.eval_poly_modified,
+                "fun": recurrence.eval_fun_modified,
+                "stable": recurrence.fun_series_stable}[args.method]
+    values = evaluate(params, args.x)
     rows = [(k, _fmt(v)) for k, v in enumerate(values)]
     _write_rows(args, ["degree", "value"], rows)
     return 0
@@ -100,8 +95,8 @@ def cmd_compare(args) -> int:
     ctx = oracle.HpContext(digits=args.digits)
     params = recurrence.LagParams(alpha=alpha, n=N - 1)
     # one call per route; a copied last row frees each full series at once
-    std = recurrence.eval_poly_standard(params, rule.nodes).values[-1].copy()
-    mod = recurrence.eval_poly_modified(params, rule.nodes).values[-1].copy()
+    std = recurrence.eval_poly_standard(params, rule.nodes)[-1].copy()
+    mod = recurrence.eval_poly_modified(params, rule.nodes)[-1].copy()
     stable, _ = recurrence.fun_value_deriv_stable(params, rule.nodes)
 
     def rel(v, ref):

@@ -19,7 +19,8 @@ import numpy as np
 from mpmath import mp
 
 from .oracle import HpContext, _poly_series_mpf
-from .recurrence import LagParams, eval_poly_modified, eval_poly_standard
+from .recurrence import (LagParams, _abscissae, _difference,
+                         eval_poly_modified, eval_poly_standard)
 
 __all__ = [
     "DOUBLE_EPS",
@@ -172,12 +173,10 @@ def zeta_envelopes(alpha: float, n_max: int, x: float,
     params = LagParams(alpha=alpha, n=n_max)
     n = np.arange(1, n_max)
     if mode == "standard":
-        v = np.abs(eval_poly_standard(params, x).values)
+        v = np.abs(eval_poly_standard(params, x))
         return (2.0 + x / (n + 1.0)) * v[1:n_max] * eps + v[0:n_max - 1] * eps
     if mode == "delta":
-        series = eval_poly_modified(params, x)
-        v = np.abs(series.values)
-        d = np.abs(series.deltas)
+        v, d = map(np.abs, _difference(params, _abscissae(x), 1.0))
         return (d[0:n_max - 1] + x / (n + 1.0) * v[1:n_max]) * eps
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -230,9 +229,9 @@ def measure_actual_error(alpha: float, n_max: int, x: float,
     """
     params = LagParams(alpha=alpha, n=n_max)
     if mode == "standard":
-        vals = eval_poly_standard(params, x).values
+        vals = eval_poly_standard(params, x)
     elif mode == "delta":
-        vals = eval_poly_modified(params, x).values
+        vals = eval_poly_modified(params, x)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     with mp.workdps(HpContext().digits):

@@ -243,9 +243,9 @@ def gauss_radau_rule(alpha: float, N: int) -> GaussRule:
 
 @functools.lru_cache(maxsize=64)
 def cached_gauss_rule(alpha: float, N: int,
-                      kind: RuleKind = RuleKind.GAUSS) -> GaussRule:
+                      kind: RuleKind | str = RuleKind.GAUSS) -> GaussRule:
     """Memoized rule constructor; rules are immutable and shareable."""
-    if kind is RuleKind.GAUSS:
+    if RuleKind(kind) is RuleKind.GAUSS:  # "gauss" shares the member's key
         return gauss_rule(alpha, N)
     return gauss_radau_rule(alpha, N)
 

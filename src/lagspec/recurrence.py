@@ -19,9 +19,9 @@ Three evaluation routes are provided:
   depends on them beyond the final rounding, and the tests vary them to
   show it.
 
-Every evaluator takes a scalar ``x`` (a series of shape ``(n+1,)``) or an
-array of any shape (a series of shape ``(n+1,) + x.shape``, entry
-``[:, j]`` bitwise the series at ``x[j]``).
+Every evaluator returns a plain array: a scalar ``x`` gives a series of
+shape ``(n+1,)``, an array of any shape one of shape ``(n+1,) + x.shape``,
+entry ``[:, j]`` bitwise the series at ``x[j]``.
 All functions are pure; overflow/underflow in the standard routes is
 deliberately passed through as IEEE infinities/zeros rather than masked,
 since callers use it to detect where the stable route is required.
@@ -36,7 +36,6 @@ import numpy as np
 
 __all__ = [
     "LagParams",
-    "LagSeries",
     "eval_poly_standard",
     "eval_poly_modified",
     "eval_poly_derivative",
@@ -66,22 +65,6 @@ class LagParams:
             raise ValueError(f"alpha must be finite and > -1, got {self.alpha}")
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 0):
             raise ValueError(f"degree must be an integer >= 0, got {self.n}")
-
-
-@dataclass
-class LagSeries:
-    """Values ``L_0 .. L_n`` at one abscissa or an array of them.
-
-    ``values[k]`` holds either the polynomial ``L_k(x)`` or the function
-    ``exp(-x/2) L_k(x)`` depending on which routine produced the series.
-    ``deltas[k-1] = values[k] - values[k-1]`` when the difference form was
-    used.  An array ``x`` of ``npts`` abscissae adds a trailing axis.
-    """
-
-    params: LagParams
-    x: float | np.ndarray
-    values: np.ndarray
-    deltas: np.ndarray | None = None
 
 
 # Thresholds of the adaptive rescaling: a rescale starts once |L| > exp(_K1)
@@ -144,7 +127,7 @@ def _abscissae(x):
 _exp = np.vectorize(math.exp, otypes=[float])
 
 
-def _three_term(params: LagParams, xs: np.ndarray, w) -> LagSeries:
+def _three_term(params: LagParams, xs: np.ndarray, w) -> np.ndarray:
     alpha, n = params.alpha, params.n
     values = np.empty((n + 1,) + xs.shape)
     values[0] = w
@@ -153,10 +136,12 @@ def _three_term(params: LagParams, xs: np.ndarray, w) -> LagSeries:
     for k in range(1, n):
         values[k + 1] = ((2.0 * k + alpha + 1.0 - xs) * values[k]
                          - (k + alpha) * values[k - 1]) / (k + 1.0)
-    return LagSeries(params=params, x=xs, values=values)
+    return values
 
 
-def _difference(params: LagParams, xs: np.ndarray, w) -> LagSeries:
+def _difference(params: LagParams, xs: np.ndarray, w):
+    """``(values, deltas)`` of the difference loop, with
+    ``values[k] = values[k-1] + deltas[k-1]``."""
     alpha, n = params.alpha, params.n
     values = np.empty((n + 1,) + xs.shape)
     deltas = np.empty((n,) + xs.shape)
@@ -167,10 +152,10 @@ def _difference(params: LagParams, xs: np.ndarray, w) -> LagSeries:
     for k in range(1, n):
         deltas[k] = ((k + alpha) * deltas[k - 1] - xs * values[k]) / (k + 1.0)
         values[k + 1] = values[k] + deltas[k]
-    return LagSeries(params=params, x=xs, values=values, deltas=deltas)
+    return values, deltas
 
 
-def eval_poly_standard(params: LagParams, x) -> LagSeries:
+def eval_poly_standard(params: LagParams, x) -> np.ndarray:
     """Evaluate ``L_0(x) .. L_n(x)`` by the classical three-term recurrence.
 
     (k+1) L_{k+1} = (2k + alpha + 1 - x) L_k - (k + alpha) L_{k-1}.
@@ -178,7 +163,7 @@ def eval_poly_standard(params: LagParams, x) -> LagSeries:
     return _three_term(params, _abscissae(x), 1.0)
 
 
-def eval_poly_modified(params: LagParams, x) -> LagSeries:
+def eval_poly_modified(params: LagParams, x) -> np.ndarray:
     """Evaluate ``L_0(x) .. L_n(x)`` via the difference recurrence.
 
     Propagating ``dL_k = L_k - L_{k-1}`` avoids storing the coefficient
@@ -188,24 +173,23 @@ def eval_poly_modified(params: LagParams, x) -> LagSeries:
         dL_{k+1} = ((k+alpha) dL_k - x L_k) / (k+1),
         L_{k+1}  = L_k + dL_{k+1}.
     """
-    return _difference(params, _abscissae(x), 1.0)
+    return _difference(params, _abscissae(x), 1.0)[0]
 
 
-def eval_poly_derivative(series: LagSeries) -> np.ndarray:
+def eval_poly_derivative(values: np.ndarray) -> np.ndarray:
     """Derivatives ``L_0'(x) .. L_n'(x)`` from a polynomial value series.
 
     Uses ``L_{k+1}' = L_k' - L_k`` (equivalently the derivative is minus
     the partial sum of lower-degree values).
     """
-    values = series.values
     derivs = np.empty_like(values)
     derivs[0] = 0.0
-    for k in range(series.params.n):
+    for k in range(len(values) - 1):
         derivs[k + 1] = derivs[k] - values[k]
     return derivs
 
 
-def eval_fun_standard(params: LagParams, x) -> LagSeries:
+def eval_fun_standard(params: LagParams, x) -> np.ndarray:
     """Laguerre functions ``exp(-x/2) L_k(x)`` via the direct recurrence.
 
     The whole prefactor is applied up front; for large ``x`` it underflows
@@ -216,13 +200,13 @@ def eval_fun_standard(params: LagParams, x) -> LagSeries:
     return _three_term(params, xs, _exp(-xs / 2.0))
 
 
-def eval_fun_modified(params: LagParams, x) -> LagSeries:
+def eval_fun_modified(params: LagParams, x) -> np.ndarray:
     """Laguerre functions via the difference recurrence.
 
     Same underflow caveat as :func:`eval_fun_standard`.
     """
     xs = _abscissae(x)
-    return _difference(params, xs, _exp(-xs / 2.0))
+    return _difference(params, xs, _exp(-xs / 2.0))[0]
 
 
 def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,

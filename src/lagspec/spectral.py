@@ -196,12 +196,12 @@ def project_rhs(problem: ModelProblem, N: int, M: int, beta: float
         raise ValueError("N must be >= 1")
     if M < N + 1:
         raise ValueError("quadrature order M must be >= N + 1")
-    rb = _rule_basis(N, M, False)
     b2 = beta * beta
     if not (0.0 < beta < math.inf and 0.0 < b2 < math.inf
             and 0.0 < problem.gamma / b2 < math.inf):
         raise ValueError("beta must be finite and > 0, with beta**2 and "
                          f"gamma/beta**2 positive doubles, got {beta}")
+    rb = _rule_basis(N, M, False)
     g = np.asarray(problem.f(rb.y / beta), dtype=float)
     if not np.all(np.isfinite(g)):
         j = int(np.flatnonzero(~np.isfinite(g))[0])

@@ -60,7 +60,7 @@ class TestEnvelopes:
     def test_zeta_explicit_small_case(self):
         series = eval_poly_standard(LagParams(0.0, 2), 0.5)
         got = zeta_envelopes(0.0, 3, 0.5)[1]  # step n = 2
-        v = series.values
+        v = series
         expect = (2 + 0.5 / 3) * abs(v[2]) * DOUBLE_EPS + abs(v[1]) * DOUBLE_EPS
         assert got == pytest.approx(expect, rel=1e-12)
 
@@ -203,7 +203,7 @@ class TestMeasured:
                     else eval_poly_modified)
         with mp.workdps(24):
             for n in (0, 1, 7, 100):
-                val = evaluate(LagParams(alpha=alpha, n=n), x).values[n]
+                val = evaluate(LagParams(alpha=alpha, n=n), x)[n]
                 ref = _poly_series_mpf(mp.mpf(alpha), n, mp.mpf(x))[n]
                 expect = float(abs(mp.mpf(float(val)) - ref))
                 assert errs[n] == expect

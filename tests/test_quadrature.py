@@ -332,6 +332,19 @@ class TestCacheAndIntegrate:
         rule = cached_gauss_rule(0.0, 5, RuleKind.GAUSS_RADAU)
         assert rule.kind is RuleKind.GAUSS_RADAU
 
+    def test_kind_given_by_value(self):
+        # "gauss" equals RuleKind.GAUSS as a cache key, so it must build
+        # the Gauss rule the member's later lookup gets
+        assert cached_gauss_rule(0.25, 11, "gauss").kind is RuleKind.GAUSS
+        assert cached_gauss_rule(0.25, 11, RuleKind.GAUSS).kind \
+            is RuleKind.GAUSS
+        assert cached_gauss_rule(0.25, 11, "radau").kind \
+            is RuleKind.GAUSS_RADAU
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            cached_gauss_rule(0.25, 11, "lobatto")
+
     def test_function_form_integration(self):
         # integral of e^{-2x} dx over (0, inf) = 1/2, integrand carries decay
         rule = gauss_rule(0.0, 40)

@@ -72,14 +72,14 @@ class TestParams:
 class TestPolynomialValues:
     def test_degree_zero_and_one(self):
         s = eval_poly_standard(LagParams(alpha=0.5, n=1), 2.0)
-        assert s.values[0] == 1.0
-        assert s.values[1] == pytest.approx(0.5 + 1.0 - 2.0)
+        assert s[0] == 1.0
+        assert s[1] == pytest.approx(0.5 + 1.0 - 2.0)
 
     def test_degree_two_closed_form(self):
         # L_2(x) = x^2/2 - 2x + 1 at alpha = 0
         x = 1.7
         s = eval_poly_standard(LagParams(0.0, 2), x)
-        assert s.values[2] == pytest.approx(x * x / 2 - 2 * x + 1, rel=1e-14)
+        assert s[2] == pytest.approx(x * x / 2 - 2 * x + 1, rel=1e-14)
 
     def test_value_at_origin_is_binomial(self):
         # L_n(0) = Gamma(n + alpha + 1) / (Gamma(alpha + 1) n!)
@@ -87,30 +87,31 @@ class TestPolynomialValues:
         s = eval_poly_standard(LagParams(alpha, n), 0.0)
         expect = math.exp(math.lgamma(n + alpha + 1)
                           - math.lgamma(alpha + 1) - math.lgamma(n + 1))
-        assert s.values[n] == pytest.approx(expect, rel=1e-13)
+        assert s[n] == pytest.approx(expect, rel=1e-13)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
     @pytest.mark.parametrize("x", [0.3, 4.0, 17.5])
     def test_matches_scipy(self, alpha, x):
         s = eval_poly_standard(LagParams(alpha, 20), x)
         for k in (5, 12, 20):
-            assert s.values[k] == pytest.approx(
+            assert s[k] == pytest.approx(
                 eval_genlaguerre(k, alpha, x), rel=1e-10)
 
     def test_standard_and_modified_agree(self):
         p = LagParams(alpha=0.25, n=60)
-        a = eval_poly_standard(p, 3.7).values
-        b = eval_poly_modified(p, 3.7).values
+        a = eval_poly_standard(p, 3.7)
+        b = eval_poly_modified(p, 3.7)
         np.testing.assert_allclose(a, b, rtol=1e-11)
 
     def test_modified_deltas_are_differences(self):
-        s = eval_poly_modified(LagParams(0.0, 10), 2.2)
-        np.testing.assert_allclose(s.deltas, np.diff(s.values), atol=1e-13)
+        s, deltas = recurrence._difference(
+            LagParams(0.0, 10), recurrence._abscissae(2.2), 1.0)
+        np.testing.assert_allclose(deltas, np.diff(s), atol=1e-13)
 
     @settings(max_examples=25, deadline=None)
     @given(alpha=st.floats(-0.9, 3.0), x=st.floats(0.0, 30.0), n=st.integers(1, 40))
     def test_modified_matches_scipy_property(self, alpha, x, n):
-        val = eval_poly_modified(LagParams(alpha, n), x).values[n]
+        val = eval_poly_modified(LagParams(alpha, n), x)[n]
         ref = eval_genlaguerre(n, alpha, x)
         assert val == pytest.approx(ref, rel=1e-8, abs=1e-8)
 
@@ -121,14 +122,14 @@ class TestDerivatives:
         s = eval_poly_standard(LagParams(0.0, 8), 1.3)
         d = eval_poly_derivative(s)
         assert d[0] == 0.0
-        assert d[8] == pytest.approx(-np.sum(s.values[:8]), rel=1e-13)
+        assert d[8] == pytest.approx(-np.sum(s[:8]), rel=1e-13)
 
     def test_poly_derivative_finite_difference(self):
         p = LagParams(0.5, 6)
         x, h = 2.4, 1e-6
         d = eval_poly_derivative(eval_poly_standard(p, x))
-        fd = (eval_poly_standard(p, x + h).values
-              - eval_poly_standard(p, x - h).values) / (2 * h)
+        fd = (eval_poly_standard(p, x + h)
+              - eval_poly_standard(p, x - h)) / (2 * h)
         np.testing.assert_allclose(d, fd, atol=1e-7)
 
     def test_fun_derivative_finite_difference(self):
@@ -143,25 +144,25 @@ class TestFunctionRoutes:
     def test_fun_is_weighted_poly(self):
         p = LagParams(0.0, 15)
         x = 6.0
-        poly = eval_poly_standard(p, x).values
-        fun = eval_fun_standard(p, x).values
+        poly = eval_poly_standard(p, x)
+        fun = eval_fun_standard(p, x)
         np.testing.assert_allclose(fun, poly * math.exp(-x / 2), rtol=1e-12)
 
     def test_fun_modified_matches_standard(self):
         p = LagParams(1.0, 40)
-        a = eval_fun_standard(p, 9.5).values
-        b = eval_fun_modified(p, 9.5).values
+        a = eval_fun_standard(p, 9.5)
+        b = eval_fun_modified(p, 9.5)
         np.testing.assert_allclose(a, b, rtol=1e-10)
 
     def test_fun_standard_underflow_passthrough(self):
         # prefactor exp(-x/2) underflows; the collapse is deliberate
-        vals = eval_fun_standard(LagParams(0.0, 5), 1500.0).values
+        vals = eval_fun_standard(LagParams(0.0, 5), 1500.0)
         assert np.all(vals == 0.0)
 
     def test_stable_matches_direct_at_moderate_x(self):
         p = LagParams(0.0, 30)
         for x in (0.1, 3.0, 40.0):
-            direct = eval_fun_standard(p, x).values[-1]
+            direct = eval_fun_standard(p, x)[-1]
             assert fun_value_deriv_stable(p, x)[0] == pytest.approx(
                 direct, rel=1e-10)
 
@@ -175,7 +176,7 @@ class TestFunctionRoutes:
         # large degree and large argument: the direct route loses everything
         p = LagParams(0.0, 900)
         x = 3000.0
-        direct = eval_fun_standard(p, x).values[-1]
+        direct = eval_fun_standard(p, x)[-1]
         assert direct == 0.0 or not math.isfinite(direct)
         val, _ = fun_value_deriv_stable(p, x)
         assert math.isfinite(val)
@@ -244,13 +245,41 @@ def _route_arrays(route, p, x):
               "poly_modified": eval_poly_modified,
               "fun_standard": eval_fun_standard,
               "fun_modified": eval_fun_modified}[route](p, x)
-    return [series.values] + ([] if series.deltas is None
-                              else [series.deltas])
+    if not route.endswith("modified"):
+        return [series]
+    # the differences the error model reads, from the same loop
+    xs = recurrence._abscissae(x)
+    w = 1.0 if route == "poly_modified" else recurrence._exp(-xs / 2.0)
+    return [series, recurrence._difference(p, xs, w)[1]]
+
+
+# every evaluator that returns a series, by the route it takes
+_SERIES_EVALUATORS = {
+    "poly_standard": eval_poly_standard,
+    "poly_modified": eval_poly_modified,
+    "fun_standard": eval_fun_standard,
+    "fun_modified": eval_fun_modified,
+    "poly_derivative_standard":
+        lambda p, x: eval_poly_derivative(eval_poly_standard(p, x)),
+    "poly_derivative_modified":
+        lambda p, x: eval_poly_derivative(eval_poly_modified(p, x)),
+    "fun_derivative": eval_fun_derivative,
+    "series_stable": fun_series_stable,
+}
 
 
 class TestArrayConvention:
     """An array of abscissae gives, column by column, the bits and the
     shapes (plus a trailing axis) of the per-point scalar calls."""
+
+    @pytest.mark.parametrize("route", sorted(_SERIES_EVALUATORS))
+    @pytest.mark.parametrize("x", [2.5, _CONVENTION_XS[4:14].reshape(2, 5)],
+                             ids=["scalar", "2d"])
+    @pytest.mark.parametrize("n", [0, 1, 17])
+    def test_series_is_a_plain_array(self, route, x, n):
+        series = _SERIES_EVALUATORS[route](LagParams(0.5, n), x)
+        assert type(series) is np.ndarray
+        assert series.shape == (n + 1,) + np.shape(x)
 
     @pytest.mark.parametrize("route", [
         "poly_standard", "poly_modified", "fun_standard", "fun_modified",

@@ -472,6 +472,15 @@ class TestBasisCache:
         error_norms(solve(problem, 8, 16, 1.0), check_quadrature=True)
         assert sorted(spectral._bases) == [(8, 16, False), (8, 34, True)]
 
+    @pytest.mark.parametrize("beta", [0.0, math.inf, 1e200])
+    def test_bad_beta_builds_no_basis(self, monkeypatch, cold_bases, beta):
+        # beta is checked before the load basis is built and kept
+        calls = _count_series(monkeypatch)
+        with pytest.raises(ValueError, match="beta"):
+            solve(make_case("u1").problem, 8, None, beta)
+        assert calls == []
+        assert not spectral._bases
+
     def test_cached_basis_is_read_only(self):
         rb = spectral._rule_basis(8, 34, True)
         load = spectral._rule_basis(8, 16, False)

@@ -9,8 +9,10 @@ The outputs are ``beta_sweep`` cells of the three model cases, ``solve``
 coefficients with ``error_norms`` (quadrature check on), the solution's
 value and derivative, ``project_rhs``, Gauss and Radau rules at two
 (alpha, N), the rules of the benchmark's ``rules`` workload and a stalling
-Gauss rule at N=2050, and the exact bytes and exit codes of CLI runs.  Floats enter
-the hash as their IEEE bytes (``float.hex``), arrays as ``tobytes()``.
+Gauss rule at N=2050, the N=1024 solve of acceptance criterion 6 evaluated
+at the 4099 nodes of its norm rule, and the exact bytes and exit codes of
+CLI runs.  Floats enter the hash as their IEEE bytes (``float.hex``),
+arrays as ``tobytes()``.
 Only the standard library and lagspec are used; ``lagspec`` is imported
 from the ``src`` tree of the checkout that holds this file.  Add ``-v`` to
 print a digest per output.  The BLAS thread setting, which some products
@@ -91,6 +93,11 @@ def outputs():
             for x in probe)
         yield f"project_rhs {name}", spectral.project_rhs(
             CASES[name], N, 2 * N + 1, beta).tobytes()
+    # criterion 6 (u2, N=1024, M=2048, beta=0.6) at its (2M+3)-point norm
+    # rule, mapped back from the scaled variable
+    sol = spectral.solve(CASES["u2"], 1024, 2048, 0.6)
+    norm_nodes = quadrature.cached_gauss_rule(0.0, 2 * 2048 + 2).nodes
+    yield "evaluate u2 1024", sol.evaluate(norm_nodes / 0.6).tobytes()
     for alpha, N, kind in RULES:
         rule = quadrature.cached_gauss_rule(alpha, N, kind)
         yield f"rule {kind.value} {alpha} {N}", b"".join(
