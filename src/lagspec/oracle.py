@@ -14,8 +14,10 @@ The series runs on plain Python ints: a value is a pair ``(m, e)``,
 ``m * 2**e`` with ``|m| <= 2**mp.prec``.  A step applies the five
 operations of mpf's ``((2k+alpha+1 - x) * L_k - (k+alpha) * L_{k-1}) /
 (k+1)`` in their order.  Subtraction and product are exact int operations;
-the division by the int ``k+1`` keeps libmp's ``max(prec - bits(s) +
-bits(k+1) + 5, 5)`` guard bits and a sticky bit for a nonzero remainder.
+the division by the int ``k+1`` keeps libmp's ``prec - bits(s) +
+bits(k+1) + 5`` guard bits (its floor of 5 never applies: a rounded ``s``
+has at most ``prec + 1`` bits and ``k+1 >= 2``, so the count is >= 6) and
+a sticky bit for a nonzero remainder.
 Each result is then rounded once to ``mp.prec`` bits, half to even, inline
 in the loop.  libmp's ``round_nearest`` rounds each of these operations
 correctly, and a correctly rounded result is unique, so every value
@@ -131,8 +133,6 @@ def _poly_series_int(alpha, n: int, x) -> list:
             m, e = (m + (1 << (s - 1)) - 1 + ((m >> s) & 1)) >> s, e + s
         # / (k+1) with libmp's guard bits, and a sticky bit for a remainder
         g = prec - m.bit_length() + d.bit_length() + 5
-        if g < 5:
-            g = 5
         m, r = divmod(m << g, d)
         if r:
             m, g = (m << 1) | 1, g + 1

@@ -215,9 +215,9 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
 
     Runs the difference recurrence on partially weighted values.  A budget
     ``x_b = x/2`` of exponent remains to be applied; at a check, each point
-    whose iterate grew past ``exp(_K1)`` (every point on the first step)
-    has a chunk ``x_c = min(max(log|L| + _K2, 0), x_b)`` of the weight
-    folded in as an exact power of two and deducted from the budget.
+    whose iterate grew past ``exp(_K1)`` (every point at the first check,
+    before any step) has ``x_c = min(max(log|L| + _K2, 0), x_b)`` of the
+    weight folded in as an exact power of two and deducted from the budget.
     Checks come every ``every`` steps; the ``2^-M``-scaled iterates never
     leave this function.  Fills ``out``, shape ``(n+1, npts)``, with
     ``exp(-x/2) L_k``, finalizing the rows made since the last block before
@@ -249,24 +249,26 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
     sums = () if S is None else (S,)
     done = 0  # rows of out finalized so far
     if out is not None:
-        out[0], out[1:2] = 1.0, L
-    for k in range(1, n):
+        out[0] = 1.0
+    # k = 0 makes no step: its check rescales L_1 before x L_1 can overflow
+    for k in range(n):
         if k == n - 1 and out is None:
             prev = _finalize(L, M, xs)
-        dL *= k + alpha
-        dL -= np.multiply(xs, L, out=tmp)
-        dL /= k + 1.0
-        L += dL
-        if S is not None:
-            S += L
-        check = (k - 1) % every == 0
+        if k:
+            dL *= k + alpha
+            dL -= np.multiply(xs, L, out=tmp)
+            dL /= k + 1.0
+            L += dL
+            if S is not None:
+                S += L
+        check = k % every == 0
         if out is not None:
             out[k + 1] = L
             if check or k + 2 - done >= _FINALIZE_ROWS:
                 out[done:k + 2] = _finalize(out[done:k + 2], M, xs)
                 done = k + 2
         if check:
-            idx = (np.arange(xs.size) if k == 1
+            idx = (np.arange(xs.size) if k == 0
                    else np.flatnonzero(np.abs(L) > big))
             idx = idx[(L[idx] != 0.0) & np.isfinite(L[idx])]
             if idx.size:

@@ -33,7 +33,6 @@ __all__ = [
     "ModelProblem",
     "SpectralSolution",
     "ErrorReport",
-    "basis_matrices",
     "assemble_system",
     "project_rhs",
     "solve",
@@ -77,8 +76,9 @@ class SpectralSolution:
 
     def _at(self, x, deriv: bool) -> np.ndarray:
         y = self.beta * np.atleast_1d(np.asarray(x, dtype=float))
-        psi, dpsi = basis_matrices(self.N, y)
-        out = self.beta * (self.coeffs @ dpsi) if deriv else self.coeffs @ psi
+        lhat = fun_series_stable(LagParams(alpha=0.0, n=self.N), y)
+        out = self.coeffs @ _pairs(lhat, deriv)  # one N x len(x) matrix
+        out = self.beta * out if deriv else out
         return out if np.ndim(x) else out[0]
 
 
@@ -91,30 +91,17 @@ class ErrorReport:
     quad_error_estimate: float | None = None
 
 
-def basis_matrices(N: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Basis values and derivatives at many points.
-
-    Returns ``(psi, dpsi)`` of shape ``(N, len(y))`` with
-    ``psi[n] = Lhat_n(y) - Lhat_{n+1}(y)`` and the closed-form derivative
-    ``dpsi[n] = (Lhat_n(y) + Lhat_{n+1}(y)) / 2``.
+def _pairs(lhat: np.ndarray, deriv: bool) -> np.ndarray:
+    """psi_n = Lhat_n - Lhat_{n+1}, or dpsi_n = (Lhat_n + Lhat_{n+1}) / 2, made
+    upwards in the rows of the series ``lhat`` and returned as ``lhat[:-1]``:
+    bit for bit ``lhat[:-1] - lhat[1:]`` or ``0.5 * (lhat[:-1] + lhat[1:])``.
     """
-    lhat = fun_series_stable(LagParams(alpha=0.0, n=N),
-                             np.asarray(y, dtype=float))
-    return _psi_dpsi(lhat, deriv=True)
-
-
-def _psi_dpsi(lhat: np.ndarray, deriv: bool
-              ) -> tuple[np.ndarray, np.ndarray | None]:
-    # psi (the load rule needs no dpsi) or dpsi is made in lhat, rows upwards
-    # so each is read before it is overwritten: bit for bit the values of
-    # lhat[:-1] - lhat[1:] and 0.5 * (lhat[:-1] + lhat[1:])
-    psi = lhat[:-1] - lhat[1:] if deriv else lhat[:-1]
     op = np.add if deriv else np.subtract
     for n in range(lhat.shape[0] - 1):
-        op(lhat[n, ...], lhat[n + 1], out=lhat[n, ...])  # 0-d at scalar y
+        op(lhat[n], lhat[n + 1], out=lhat[n])
     if deriv:
         lhat[:-1] *= 0.5
-    return psi, lhat[:-1] if deriv else None
+    return lhat[:-1]
 
 
 def assemble_system(N: int, gamma_eff: float) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +163,8 @@ def _rule_basis(N: int, K: int, deriv: bool) -> _RuleBasis:
 def _build_basis(N: int, K: int, deriv: bool) -> _RuleBasis:
     rule = cached_gauss_rule(0.0, K)
     lhat = fun_series_stable(LagParams(alpha=0.0, n=N), rule.nodes)
-    psi, dpsi = _psi_dpsi(lhat, deriv)
+    psi = lhat[:-1] - lhat[1:] if deriv else _pairs(lhat, False)
+    dpsi = _pairs(lhat, True) if deriv else None
     for a in (psi, dpsi) if deriv else (psi,):
         a.flags.writeable = False
     return _RuleBasis(rule.nodes, rule.fun_weights, psi, dpsi)
@@ -240,10 +228,10 @@ def _norms_at_order(sol: SpectralSolution, rb: _RuleBasis
     y, w = rb.y, rb.w
     beta = sol.beta
     v_num = sol.coeffs @ rb.psi
-    dv_num = sol.coeffs @ rb.dpsi
     v_ex = np.asarray(problem.u_exact(y / beta), dtype=float)
     l2_y = math.sqrt(float(np.sum((v_ex - v_num) ** 2 * w)))
-    if problem.u_exact_prime is not None:
+    if problem.u_exact_prime is not None and rb.dpsi is not None:
+        dv_num = sol.coeffs @ rb.dpsi
         dv_ex = np.asarray(problem.u_exact_prime(y / beta), dtype=float) / beta
         h1_y = math.sqrt(float(np.sum((dv_ex - dv_num) ** 2 * w)))
     else:
@@ -264,8 +252,8 @@ def error_norms(sol: SpectralSolution, *,
     l2, h1 = _norms_at_order(sol, _rule_basis(sol.N, 2 * sol.M + 2, True))
     quad_est = None
     if check_quadrature:
-        # a one-off check, four times the norm rule's size: not kept
-        l2b, _ = _norms_at_order(sol, _build_basis(sol.N, 4 * sol.M, True))
+        # a one-off check, about twice the norm rule's size, psi only: not kept
+        l2b, _ = _norms_at_order(sol, _build_basis(sol.N, 4 * sol.M, False))
         quad_est = abs(l2b - l2)
     return ErrorReport(l2_error=l2, h1_semi_error=h1, N=sol.N, beta=sol.beta,
                        quad_error_estimate=quad_est)

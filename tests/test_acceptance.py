@@ -32,7 +32,6 @@ from lagspec.recurrence import (
 from lagspec.spectral import (
     ModelProblem,
     assemble_system,
-    basis_matrices,
     beta_sweep,
     error_norms,
     solve,
@@ -292,7 +291,8 @@ def test_criterion_9_invariant_suite():
     # closed-form mass/stiffness vs quadrature assembly, entrywise 1e-12
     N, gamma_eff = 16, 0.5
     rule = gauss_rule(0.0, 2 * N + 2)
-    psi, dpsi = basis_matrices(N, rule.nodes)
+    lhat = recurrence.fun_series_stable(LagParams(alpha=0.0, n=N), rule.nodes)
+    psi, dpsi = lhat[:-1] - lhat[1:], 0.5 * (lhat[:-1] + lhat[1:])
     w = rule.fun_weights
     full = (dpsi * w) @ dpsi.T + gamma_eff * ((psi * w) @ psi.T)
     diag, off = assemble_system(N, gamma_eff)
@@ -309,7 +309,8 @@ def test_criterion_9_invariant_suite():
 
     def f(x):
         y = beta * np.atleast_1d(np.asarray(x, dtype=float))
-        psi, _ = basis_matrices(3, y)
+        lhat = recurrence.fun_series_stable(LagParams(alpha=0.0, n=3), y)
+        psi = lhat[:-1] - lhat[1:]
         upp = np.empty(y.size)
         for i, yi in enumerate(y):
             d = eval_fun_derivative(LagParams(alpha=0.0, n=3), float(yi))

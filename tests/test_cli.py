@@ -310,6 +310,16 @@ class TestExitCodes:
         assert code == USAGE_ERROR
         assert capsys.readouterr().err.startswith("error: ")
 
+    # x L_1 overflows above about 1e154 unless the kernel rescales L_1
+    # before its first step; every value there is a signed zero
+    @pytest.mark.parametrize("x", ["1e200", "1e300", "1.7e308"])
+    @pytest.mark.parametrize("args", [["--n", "5"],
+                                      ["--n", "1000", "--alpha", "2.5"]])
+    def test_eval_at_huge_x_prints_rows_of_1e150(self, capsys, args, x):
+        ref = _run(capsys, "eval", *args, "--x", "1e150")
+        assert ref[0] == 0
+        assert _run(capsys, "eval", *args, "--x", x) == ref
+
     def test_numeric_error_code_value(self):
         assert NUMERIC_ERROR == 3
 

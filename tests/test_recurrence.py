@@ -367,6 +367,22 @@ class TestRescaledKernel:
         assert np.all(np.isfinite(series))
         assert val[0] == series[-1, 0]
 
+    @pytest.mark.parametrize("a", [0.0, 2.5])
+    @pytest.mark.parametrize("x", [1e200, 1e300, 1.7e308])
+    def test_first_check_comes_before_first_step(self, x, a):
+        # x L_1 overflows above about 1e154 unless L_1 is rescaled first:
+        # every value is then the signed zero it is at x = 1e150, and x = 2
+        # beside it keeps the bits it has alone
+        for n in (2, 5, 40):
+            p = LagParams(a, n)
+            for route in (fun_series_stable, fun_value_deriv_stable):
+                ref = [np.array(route(p, np.array([v]))) for v in (1e150, 2.0)]
+                alone = np.array(route(p, np.array([x])))
+                pair = np.array(route(p, np.array([x, 2.0])))
+                assert alone.tobytes() == ref[0].tobytes(), (n, route)
+                assert pair.tobytes() == \
+                    np.concatenate(ref, axis=-1).tobytes(), (n, route)
+
     @pytest.mark.parametrize("n", [2, 50])
     @pytest.mark.parametrize("k1,k2", [(20.0, 40.0), (48.0, 16.0),
                                        (16.0, 48.0)])
@@ -391,13 +407,15 @@ class TestRescaledKernel:
         return np.concatenate([nodes, [0.0, 1e4, 1e30]]) if huge else nodes
 
     # Rows either side of the edges of the kernel's row blocks at n = 40.  A
-    # check at step k finalizes rows up to k + 1, and a block also ends once
-    # 16 rows wait.  With 1e30 the checks come every 9 steps, so they end
-    # the blocks (2|3, 11|12, 20|21, 29|30, 38|39); over the 201-point nodes
-    # alone they come every 96, so after 2|3 the row cap does (18|19, 34|35).
+    # check at k (made before step k+1) finalizes rows up to k + 1, and a
+    # block also ends once 16 rows wait.  With 1e30 the checks come every 9
+    # steps, so they end the blocks (1|2, 10|11, 19|20, 28|29, 37|38); over
+    # the 201-point nodes alone they come every 96, so after 1|2 the row cap
+    # does (17|18, 33|34).  Degree 1 has its own closed form (see below).
     @pytest.mark.parametrize("a", [0.0, 0.5, 3.7])
-    @pytest.mark.parametrize("k", [2, 3, 11, 12, 15, 16, 17, 18, 19, 20, 21,
-                                   29, 30, 31, 32, 33, 34, 35, 38, 39, 40])
+    @pytest.mark.parametrize("k", [2, 3, 10, 11, 12, 15, 16, 17, 18, 19,
+                                   20, 21, 28, 29, 30, 31, 32, 33, 34, 35,
+                                   37, 38, 39, 40])
     def test_series_row_equals_single_degree_bitwise(self, k, a):
         for huge in (True, False):
             xs = self._rows_xs(huge)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,13 +16,19 @@ from lagspec.spectral import (
     ErrorReport,
     ModelProblem,
     assemble_system,
-    basis_matrices,
     beta_sweep,
     error_norms,
     optimal_beta_exponential,
     project_rhs,
     solve,
 )
+
+
+def _basis(N, y):
+    """``(psi, dpsi)`` at ``y`` by their definition from one stable series:
+    the exact bits the solver's in-place builder must give."""
+    lhat = fun_series_stable(LagParams(0.0, N), np.asarray(y, dtype=float))
+    return lhat[:-1] - lhat[1:], 0.5 * (lhat[:-1] + lhat[1:])
 
 
 def _trial_space_forcing(beta, gamma):
@@ -31,7 +38,7 @@ def _trial_space_forcing(beta, gamma):
 
     def f(x):
         y = beta * np.atleast_1d(np.asarray(x, dtype=float))
-        psi, _ = basis_matrices(3, y)
+        psi, _ = _basis(3, y)
         upp = np.empty(y.size)
         for i, yi in enumerate(y):
             d = eval_fun_derivative(LagParams(0.0, 3), float(yi))
@@ -44,7 +51,7 @@ def _trial_space_forcing(beta, gamma):
 def _quadrature_mass_stiffness(N):
     """Independent assembly of (psi_m', psi_n') and (psi_m, psi_n)."""
     rule = gauss_rule(0.0, 2 * N + 2)
-    psi, dpsi = basis_matrices(N, rule.nodes)
+    psi, dpsi = _basis(N, rule.nodes)
     w = rule.fun_weights
     mass = (psi * w) @ psi.T
     stiff = (dpsi * w) @ dpsi.T
@@ -53,36 +60,59 @@ def _quadrature_mass_stiffness(N):
 
 class TestBasis:
     def test_origin_value_zero(self):
-        psi, _ = basis_matrices(6, np.array([0.0]))
+        psi, _ = _basis(6, np.array([0.0]))
         assert psi[0, 0] == pytest.approx(0.0, abs=1e-15)
         assert psi[5, 0] == pytest.approx(0.0, abs=1e-13)
 
     def test_psi0_at_one(self):
         # L_0(1) = 1, L_1(1) = 0, so psi_0(1) = e^{-1/2}
-        psi, _ = basis_matrices(1, np.array([1.0]))
+        psi, _ = _basis(1, np.array([1.0]))
         assert psi[0, 0] == pytest.approx(math.exp(-0.5), rel=1e-13)
 
     def test_deriv_finite_difference(self):
         y, h = 2.7, 1e-6
-        psi, dpsi = basis_matrices(4, np.array([y + h, y - h, y]))
+        psi, dpsi = _basis(4, np.array([y + h, y - h, y]))
         fd = (psi[3, 0] - psi[3, 1]) / (2 * h)
         assert dpsi[3, 2] == pytest.approx(fd, abs=1e-8)
 
     def test_matrices_shapes(self):
         y = np.linspace(0.1, 8.0, 5)
-        psi, dpsi = basis_matrices(4, y)
+        psi, dpsi = _basis(4, y)
         assert psi.shape == (4, 5)
         assert dpsi.shape == (4, 5)
 
     def test_in_place_build_matches_slice_expressions(self):
-        # psi and dpsi are made in the series' rows; a scalar y gives 0-d
-        # rows, which must be written in place as well
-        for y in (np.linspace(0.0, 40.0, 7), 2.5):
+        # psi or dpsi is made in the series' rows, which are returned
+        y = np.linspace(0.0, 40.0, 7)
+        for deriv, ref in zip((False, True), _basis(5, y)):
             lhat = fun_series_stable(LagParams(0.0, 5), y)
-            psi, dpsi = basis_matrices(5, y)
-            assert psi.shape == dpsi.shape == (5,) + np.shape(y)
-            assert psi.tobytes() == (lhat[:-1] - lhat[1:]).tobytes()
-            assert dpsi.tobytes() == (0.5 * (lhat[:-1] + lhat[1:])).tobytes()
+            out = spectral._pairs(lhat, deriv)
+            assert np.shares_memory(out, lhat) and out.shape == (5, 7)
+            assert out.tobytes() == ref.tobytes()
+
+    def test_evaluate_equals_definition_bitwise(self):
+        # each evaluator builds the one matrix it reads, with the same bits
+        sol = solve(make_case("u1").problem, 16, 32, 2.0)
+        x = np.linspace(0.0, 30.0, 41)
+        psi, dpsi = _basis(16, sol.beta * x)
+        assert sol.evaluate(x).tobytes() == (sol.coeffs @ psi).tobytes()
+        assert sol.evaluate_deriv(x).tobytes() == \
+            (sol.beta * (sol.coeffs @ dpsi)).tobytes()
+
+    def test_evaluate_memory_one_matrix(self):
+        # a memory count, not a timing: evaluate holds the series it turns
+        # into psi and no second (N+1) x len(x) matrix
+        N, x = 512, np.linspace(0.0, 200.0, 4000)
+        sol = solve(make_case("u2").problem, N, 2 * N, 0.6)
+        sol.evaluate(x[:8])  # one-off allocations
+        tracemalloc.start()
+        try:
+            sol.evaluate(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix = 8 * (N + 1) * x.size
+        assert peak < 1.6 * matrix, f"peak {peak / matrix:.2f} matrices"
 
 
 class TestAssembly:
@@ -126,6 +156,12 @@ class TestRhsAndSolve:
         with pytest.raises(ValueError):
             project_rhs(prob, 8, 8, 1.0)
 
+    @pytest.mark.parametrize("N", [0, -3])
+    def test_basis_size_guard(self, N):
+        prob = ModelProblem(gamma=1.0, f=lambda x: np.zeros_like(x))
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            project_rhs(prob, N, 8, 1.0)
+
     def test_nonfinite_forcing_reported(self):
         prob = ModelProblem(gamma=1.0, f=lambda x: np.full_like(np.asarray(x, dtype=float), np.nan))
         with pytest.raises(ArithmeticError, match="node"):
@@ -152,7 +188,7 @@ class TestRhsAndSolve:
         def f(x):
             y = beta * x
             # -u'' + gamma u with u = psi_0(y), using the recurrences directly
-            psi, _ = basis_matrices(2, np.atleast_1d(y))
+            psi, _ = _basis(2, np.atleast_1d(y))
             val = psi[0]
             # psi_0(y) = y e^{-y/2}, so -(d/dx)^2 psi_0(beta x) =
             # beta^2 (4 - y)/4 e^{-y/2}
@@ -246,6 +282,23 @@ class TestErrorNorms:
         assert rep.quad_error_estimate is not None
         assert rep.quad_error_estimate < rep.l2_error
 
+    def test_quadrature_check_takes_no_derivative(self):
+        # the check reports an L2 norm only: u' is sampled at the 35 nodes
+        # of the norm rule and not at the 65 of the check's rule
+        case = make_case("u1")
+        sizes = []
+
+        def prime(x):
+            sizes.append(np.size(x))
+            return case.problem.u_exact_prime(x)
+
+        prob = dataclasses.replace(case.problem, u_exact_prime=prime)
+        rep = error_norms(solve(prob, 8, 16, 1.0), check_quadrature=True)
+        assert sizes == [35]
+        plain = error_norms(solve(case.problem, 8, 16, 1.0),
+                            check_quadrature=True)
+        assert rep == plain
+
     def test_u1_converges_geometrically(self):
         case = make_case("u1")
         beta = optimal_beta_exponential(-1.0, 2.0)
@@ -331,21 +384,21 @@ class TestSweepPlan:
     BETAS = [1.0, 2.0, 4.47, 8.0, 16.0]
 
     def test_one_basis_per_rule_and_n(self, monkeypatch, cold_bases):
-        # every basis, from basis_matrices or a rule basis, is one series
+        # every rule basis is one series
         calls = _count_series(monkeypatch)
         beta_sweep(make_case("u1").problem, [8, 16], self.BETAS)
         # the load-vector rule and the norm rule of each N
         assert sorted(calls) == [8, 8, 16, 16]
 
-    def test_rule_bases_equal_basis_matrices_bitwise(self):
+    def test_rule_bases_equal_definition_bitwise(self):
         load = spectral._rule_basis(8, 16, False)
         norms = spectral._rule_basis(8, 34, True)
-        # the load rule's basis is psi only
-        assert load.dpsi is None
-        for rb in (load, norms):
-            psi, dpsi = basis_matrices(8, rb.y)
-            assert rb.psi.tobytes() == psi.tobytes()
-        assert norms.dpsi.tobytes() == dpsi.tobytes()
+        check = spectral._build_basis(8, 64, False)
+        # the load and the quadrature check's bases are psi only
+        assert load.dpsi is None and check.dpsi is None
+        for rb in (load, norms, check):
+            assert rb.psi.tobytes() == _basis(8, rb.y)[0].tobytes()
+        assert norms.dpsi.tobytes() == _basis(8, norms.y)[1].tobytes()
 
     def test_cells_equal_direct_solve_bitwise(self):
         problem = make_case("u1", k=2.0, gamma=2.0).problem
@@ -487,11 +540,6 @@ class TestBasisCache:
         for a in (rb.y, rb.w, rb.psi, rb.dpsi, load.psi):
             with pytest.raises(ValueError):
                 a[0] = 99.0
-
-    def test_basis_matrices_return_writeable_arrays(self):
-        psi, dpsi = basis_matrices(4, np.array([0.5, 2.0]))
-        psi[0, 0] = dpsi[0, 0] = 99.0
-        assert psi[0, 0] == dpsi[0, 0] == 99.0
 
 
 class TestBenchmarkCases:

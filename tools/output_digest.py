@@ -9,10 +9,10 @@ The outputs are ``beta_sweep`` cells of the three model cases, ``solve``
 coefficients with ``error_norms`` (quadrature check on), the solution's
 value and derivative, ``project_rhs``, Gauss and Radau rules at two
 (alpha, N), the rules of the benchmark's ``rules`` workload and a stalling
-Gauss rule at N=2050, the N=1024 solve of acceptance criterion 6 evaluated
-at the 4099 nodes of its norm rule, and the exact bytes and exit codes of
-CLI runs.  Floats enter the hash as their IEEE bytes (``float.hex``),
-arrays as ``tobytes()``.
+Gauss rule at N=2050, the N=1024 solve of acceptance criterion 6 and its
+derivative evaluated at the 4099 nodes of its norm rule, and the exact bytes
+and exit codes of CLI runs.  Floats enter the hash as their IEEE bytes
+(``float.hex``), arrays as ``tobytes()``.
 Only the standard library and lagspec are used; ``lagspec`` is imported
 from the ``src`` tree of the checkout that holds this file.  Add ``-v`` to
 print a digest per output.  The BLAS thread setting, which some products
@@ -98,6 +98,8 @@ def outputs():
     sol = spectral.solve(CASES["u2"], 1024, 2048, 0.6)
     norm_nodes = quadrature.cached_gauss_rule(0.0, 2 * 2048 + 2).nodes
     yield "evaluate u2 1024", sol.evaluate(norm_nodes / 0.6).tobytes()
+    yield "evaluate_deriv u2 1024", sol.evaluate_deriv(
+        norm_nodes / 0.6).tobytes()
     for alpha, N, kind in RULES:
         rule = quadrature.cached_gauss_rule(alpha, N, kind)
         yield f"rule {kind.value} {alpha} {N}", b"".join(
