@@ -56,7 +56,8 @@ class HpContext:
     digits: int = 24
 
     def __post_init__(self) -> None:
-        if not 24 <= self.digits <= 64:
+        if not (isinstance(self.digits, numbers.Integral)
+                and 24 <= self.digits <= 64):
             raise ValueError("digits must lie in [24, 64]")
 
 

@@ -69,6 +69,7 @@ class GaussRule:
     fun_weights: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", RuleKind(self.kind))
         for name in ("nodes", "weights", "fun_weights"):
             view = np.asarray(getattr(self, name)).view()
             view.flags.writeable = False
@@ -104,9 +105,8 @@ def nodes_eigen_seed(alpha: float, N: int) -> np.ndarray:
         ev = eigvalsh_tridiagonal(diag, off)
     except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
         raise ArithmeticError(f"tridiagonal eigensolver failed: {exc}") from exc
-    ev = np.sort(ev)
     if np.any(np.diff(ev) <= 0):
-        raise ArithmeticError("eigenvalue solver returned coincident nodes")
+        raise ArithmeticError("eigenvalues are not strictly increasing")
     return ev
 
 

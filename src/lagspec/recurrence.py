@@ -111,12 +111,12 @@ def _finalize(L, M, x):
 
 
 def _abscissae(x):
-    """``x`` checked >= 0 (not NaN), in its shape; a scalar comes back as a
+    """``x`` checked finite and >= 0, in its shape; a scalar comes back as a
     NumPy scalar, as the plain loops run slower on a 0-d array."""
     xs = np.asarray(x, dtype=float)
-    if not np.all(xs >= 0):
-        bad = xs[~(xs >= 0)][0]
-        raise ValueError(f"abscissae must be >= 0, got {bad}")
+    ok = (xs >= 0) & (xs < np.inf)
+    if not ok.all():
+        raise ValueError(f"abscissae must be finite and >= 0, got {xs[~ok][0]}")
     return xs[()]
 
 
@@ -215,10 +215,10 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
 
     Runs the difference recurrence on partially weighted values.  A budget
     ``x_b = x/2`` of exponent remains to be applied; at a check, each point
-    whose iterate grew past ``exp(_K1)`` (every point at the first check,
-    before any step) has ``x_c = min(max(log|L| + _K2, 0), x_b)`` of the
-    weight folded in as an exact power of two and deducted from the budget.
-    Checks come every ``every`` steps; the ``2^-M``-scaled iterates never
+    whose iterate grew past ``exp(_K1)`` has ``x_c = min(max(log|L| + _K2,
+    0), x_b)`` of the weight folded in as an exact power of two and deducted
+    from the budget.  The first check comes before the first step, the next
+    ones every ``every`` steps; the ``2^-M``-scaled iterates never
     leave this function.  Fills ``out``, shape ``(n+1, npts)``, with
     ``exp(-x/2) L_k``, finalizing the rows made since the last block before
     a check can change ``M`` and once ``_FINALIZE_ROWS`` wait, so the
@@ -238,7 +238,7 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
     # margin covers |dL| > |L| just after a check, near a sign change of L.
     g = 2.0 + abs(alpha) + float(xs.max(initial=0.0))
     headroom = _LOG_DBL_MAX - _K1 - math.log(n + 1.0) - _CHECK_MARGIN
-    every = max(1, int(headroom // math.log(g))) if math.isfinite(g) else 1
+    every = max(1, int(headroom // math.log(g)))  # 1 where g overflows
     big = math.exp(_K1)
     half_x = 0.5 * xs
     L = 1.0 + alpha - xs
@@ -250,7 +250,7 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
     done = 0  # rows of out finalized so far
     if out is not None:
         out[0] = 1.0
-    # k = 0 makes no step: its check rescales L_1 before x L_1 can overflow
+    # k = 0 makes no step: x L_1 can overflow only where |L_1| >> exp(_K1)
     for k in range(n):
         if k == n - 1 and out is None:
             prev = _finalize(L, M, xs)
@@ -268,9 +268,7 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
                 out[done:k + 2] = _finalize(out[done:k + 2], M, xs)
                 done = k + 2
         if check:
-            idx = (np.arange(xs.size) if k == 0
-                   else np.flatnonzero(np.abs(L) > big))
-            idx = idx[(L[idx] != 0.0) & np.isfinite(L[idx])]
+            idx = np.flatnonzero(np.abs(L) > big)
             if idx.size:
                 xb = np.maximum(half_x[idx] - M[idx] * _LN2, 0.0)
                 xc = np.clip(np.log(np.abs(L[idx])) + _K2, 0.0, xb)

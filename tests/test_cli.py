@@ -184,6 +184,23 @@ class TestSolveAndSweep:
         assert len(payload["cells"]) == 4
         assert payload["argmin_beta"]["32"] == 4.47
 
+    def test_sweep_json_skips_failed_cells(self, capsys):
+        # N = 0 and beta = 1e200 fail in their cells; the argmin is taken
+        # over the cells that ran
+        code, out = _run(capsys, "sweep", "--case", "u1", "--n-list", "0,8",
+                         "--beta-list", "1,1e200,2", "--format", "json")
+        assert code == 0
+        cells = json.loads(out)["cells"]
+        assert len(cells) == 6
+        for c in cells:
+            if c["N"] == 0:
+                assert c["error"] == "N must be >= 1"
+            elif c["beta"] == 1e200:
+                assert c["error"].startswith("beta must be finite")
+            else:
+                assert c["error"] is None and c["l2_error"] is not None
+        assert json.loads(out)["argmin_beta"] == {"8": 2.0}
+
     def test_sweep_csv(self, capsys):
         code, out = _run(capsys, "sweep", "--case", "u2",
                          "--n-list", "16", "--beta-list", "1.0")

@@ -142,6 +142,10 @@ class TestSimulation:
         with pytest.raises(ValueError):
             simulate_error_propagation(0.0, 30, 0.1, mode="bogus")
 
+    def test_degree_below_one_rejected(self):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            simulate_error_propagation(0.0, 0, 0.1)
+
     def test_energy_identity(self):
         e = simulate_error_propagation(0.5, 20, 0.1)
         E = simulate_energy(0.5, 0.1, e)

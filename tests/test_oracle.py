@@ -37,6 +37,14 @@ class TestContext:
             HpContext(digits=100)
         assert HpContext(digits=40).digits == 40
 
+    @pytest.mark.parametrize("digits", [30.5, "30", None])
+    def test_digits_must_be_an_integer(self, digits):
+        with pytest.raises(ValueError, match="digits"):
+            HpContext(digits=digits)
+
+    def test_numpy_integer_digits_accepted(self):
+        assert HpContext(digits=np.int64(30)).digits == 30
+
 
 class TestValues:
     def test_poly_matches_scipy(self, hp_ctx):

@@ -110,6 +110,15 @@ class TestSeeds:
         with pytest.raises(ValueError):
             nodes_eigen_seed(0.0, -1)
 
+    def test_unsorted_eigenvalues_are_a_numeric_failure(self, monkeypatch):
+        # the eigensolver's ascending order is checked, not restored
+        solver = quadrature.eigvalsh_tridiagonal
+        monkeypatch.setattr(quadrature, "eigvalsh_tridiagonal",
+                            lambda d, e: solver(d, e)[::-1])
+        with pytest.raises(ArithmeticError,
+                           match="not strictly increasing"):
+            nodes_eigen_seed(0.0, 9)
+
     @pytest.mark.parametrize("rule", [gauss_rule, gauss_radau_rule])
     def test_infinite_alpha_is_a_usage_error(self, rule):
         # rejected by LagParams, not by the eigensolver
@@ -276,6 +285,37 @@ class TestGaussRule:
                       nodes=np.array([0.0, 1.0]),
                       weights=np.array([0.5, 0.5]),
                       fun_weights=np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("kind,nodes,weights,fun_weights,match", [
+        (RuleKind.GAUSS_RADAU, [0.5, 1.0], [0.5, 0.5], [1.0, 1.0],
+         "must include the endpoint 0"),
+        ("radau", [0.5, 1.0], [0.5, 0.5], [1.0, 1.0],
+         "must include the endpoint 0"),
+        ("gauss", [0.0, 1.0], [0.5, 0.5], [1.0, 1.0], "all nodes > 0"),
+        (RuleKind.GAUSS, [1.0, 2.0], [-0.5, 0.5], [1.0, 1.0],
+         "weights must be positive"),
+        (RuleKind.GAUSS, [1.0, 2.0], [0.5, 0.5], [1.0, np.inf],
+         "function weights must be finite"),
+        (RuleKind.GAUSS, [1.0, 2.0], [0.5, 0.5], [1.0, np.nan],
+         "function weights must be finite"),
+        ("bogus", [1.0, 2.0], [0.5, 0.5], [1.0, 1.0], "bogus"),
+    ])
+    def test_validation_branches(self, kind, nodes, weights, fun_weights,
+                                 match):
+        # a kind given by value gets its member's checks
+        with pytest.raises(ValueError, match=match):
+            GaussRule(alpha=0.0, kind=kind, nodes=np.array(nodes),
+                      weights=np.array(weights),
+                      fun_weights=np.array(fun_weights))
+
+    @pytest.mark.parametrize("value,member,first", [
+        ("gauss", RuleKind.GAUSS, 1.0), ("radau", RuleKind.GAUSS_RADAU, 0.0)])
+    def test_kind_given_by_value_is_stored_as_member(self, value, member,
+                                                     first):
+        rule = GaussRule(alpha=0.0, kind=value, nodes=np.array([first, 2.0]),
+                         weights=np.array([0.5, 0.5]),
+                         fun_weights=np.array([1.0, 1.0]))
+        assert rule.kind is member
 
 
 class TestRadauRule:

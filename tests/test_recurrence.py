@@ -1,7 +1,10 @@
 """Tests for the three-term recurrence evaluation routes."""
 
+import functools
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from scipy.special import eval_genlaguerre
 
 from lagspec import recurrence
 from lagspec.oracle import hp_eval
+from lagspec.problems import make_case
 from lagspec.quadrature import gauss_rule
 from lagspec.recurrence import (
     LagParams,
@@ -24,6 +28,26 @@ from lagspec.recurrence import (
     fun_value_deriv_stable,
     norm_const,
 )
+from lagspec.spectral import solve
+
+# every evaluator that takes abscissae, by name
+ABSCISSA_ROUTES = ["eval_poly_standard", "eval_poly_modified",
+                   "eval_fun_standard", "eval_fun_modified",
+                   "fun_series_stable", "fun_value_deriv_stable",
+                   "eval_fun_derivative", "SpectralSolution.evaluate",
+                   "SpectralSolution.evaluate_deriv"]
+
+
+@pytest.fixture(scope="module")
+def abscissa_routes():
+    sol = solve(make_case("u1").problem, 4)
+    routes = {"SpectralSolution.evaluate": sol.evaluate,
+              "SpectralSolution.evaluate_deriv": sol.evaluate_deriv}
+    for f in (eval_poly_standard, eval_poly_modified, eval_fun_standard,
+              eval_fun_modified, fun_series_stable, fun_value_deriv_stable,
+              eval_fun_derivative):
+        routes[f.__name__] = functools.partial(f, LagParams(2.5, 5))
+    return routes
 
 
 class TestParams:
@@ -62,6 +86,20 @@ class TestParams:
                       eval_fun_derivative):
             with pytest.raises(ValueError, match="got nan"):
                 route(LagParams(0.0, n), xs)
+
+    @pytest.mark.parametrize("x,shown", [
+        (math.inf, "inf"), (-math.inf, "-inf"), ([2.0, math.inf], "inf"),
+        ([0.5, math.nan], "nan"), (-0.5, "-0.5")])
+    @pytest.mark.parametrize("route", ABSCISSA_ROUTES)
+    def test_bad_abscissa_is_a_usage_error(self, abscissa_routes, route, x,
+                                           shown):
+        # an infinite abscissa stops at the input check, before any
+        # arithmetic can warn or overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite and >= 0, got "
+                               + re.escape(shown) + "$"):
+                abscissa_routes[route](x)
 
     def test_rescale_thresholds_within_budget(self):
         # every intermediate stays representable only while k1 + k2 < 80

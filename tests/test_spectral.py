@@ -534,6 +534,18 @@ class TestBasisCache:
         assert calls == []
         assert not spectral._bases
 
+    @pytest.mark.parametrize("check", [False, True])
+    def test_missing_exact_solution_builds_no_basis(self, monkeypatch,
+                                                    cold_bases, check):
+        # u_exact is checked before the norm basis is built and kept
+        prob = ModelProblem(gamma=1.0, f=lambda x: np.zeros_like(x))
+        sol = solve(prob, 8, None, 1.0)
+        calls = _count_series(monkeypatch)
+        with pytest.raises(ValueError, match="no exact solution"):
+            error_norms(sol, check_quadrature=check)
+        assert calls == []
+        assert list(spectral._bases) == [(8, 16, False)]
+
     def test_cached_basis_is_read_only(self):
         rb = spectral._rule_basis(8, 34, True)
         load = spectral._rule_basis(8, 16, False)

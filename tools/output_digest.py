@@ -10,9 +10,11 @@ coefficients with ``error_norms`` (quadrature check on), the solution's
 value and derivative, ``project_rhs``, Gauss and Radau rules at two
 (alpha, N), the rules of the benchmark's ``rules`` workload and a stalling
 Gauss rule at N=2050, the N=1024 solve of acceptance criterion 6 and its
-derivative evaluated at the 4099 nodes of its norm rule, and the exact bytes
-and exit codes of CLI runs.  Floats enter the hash as their IEEE bytes
-(``float.hex``), arrays as ``tobytes()``.
+derivative evaluated at the 4099 nodes of its norm rule, the stable kernel's
+series and value/derivative at abscissae from 0 and the smallest subnormal
+up to 1.7e308, and the exact bytes and exit codes of CLI runs.  Floats
+enter the hash as their IEEE bytes (``float.hex``), arrays as
+``tobytes()``.
 Only the standard library and lagspec are used; ``lagspec`` is imported
 from the ``src`` tree of the checkout that holds this file.  Add ``-v`` to
 print a digest per output.  The BLAS thread setting, which some products
@@ -30,7 +32,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from lagspec import cli, problems, quadrature, spectral  # noqa: E402
+from lagspec import (  # noqa: E402
+    cli, problems, quadrature, recurrence, spectral)
 
 CASES = {"u1": problems.make_case("u1", k=2.0, gamma=2.0).problem,
          "u2": problems.make_case("u2", r=2.5, gamma=2.0).problem,
@@ -42,6 +45,10 @@ _G, _R = quadrature.RuleKind.GAUSS, quadrature.RuleKind.GAUSS_RADAU
 RULES = ([(a, N, k) for a, N in ((0.0, 120), (1.5, 300)) for k in (_G, _R)]
          + [(0.0, 999, _G), (0.0, 2048, _G), (0.0, 999, _R),
             (0.7015463661686019, 999, _G), (0.0, 2050, _G)])
+
+# the kernel at its edges: zero, subnormal, tiny, moderate and huge x
+KERNEL_X = [0.0, 5e-324, 1e-300, 0.5, 2.0, 1e4, 1e30, 1e150, 1e200, 1.7e308]
+KERNEL_PARAMS = [(0.0, 2), (2.5, 40), (150.0, 1000)]
 
 CLI_RUNS = [
     ["quad", "--n", "40", "--alpha", "0.5"],
@@ -55,6 +62,7 @@ CLI_RUNS = [
     ["errlab", "--x", "0.1", "--n", "60", "--measure"],
     ["errlab", "--x", "0.1", "--n", "60", "--measure", "--mode", "delta"],
     ["solve", "--case", "u1", "--n", "8", "--beta", "1e200"],
+    ["eval", "--n", "40", "--x", "1e200", "--alpha", "2.5"],
 ]
 
 
@@ -104,6 +112,13 @@ def outputs():
         rule = quadrature.cached_gauss_rule(alpha, N, kind)
         yield f"rule {kind.value} {alpha} {N}", b"".join(
             a.tobytes() for a in (rule.nodes, rule.weights, rule.fun_weights))
+    for alpha, n in KERNEL_PARAMS:
+        params = recurrence.LagParams(alpha=alpha, n=n)
+        yield f"series {alpha} {n}", recurrence.fun_series_stable(
+            params, KERNEL_X).tobytes()
+        yield f"value_deriv {alpha} {n}", b"".join(
+            v.tobytes() for v in recurrence.fun_value_deriv_stable(
+                params, KERNEL_X))
     for argv in CLI_RUNS:
         yield "cli " + " ".join(argv), _cli(argv)
 
