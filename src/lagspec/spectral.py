@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 from .quadrature import cached_gauss_rule
-from .recurrence import LagParams, fun_series_stable
+from .recurrence import LagParams, _abscissae, fun_series_stable
 
 __all__ = [
     "ModelProblem",
@@ -75,7 +75,11 @@ class SpectralSolution:
         return self._at(x, deriv=True)
 
     def _at(self, x, deriv: bool) -> np.ndarray:
-        y = self.beta * np.atleast_1d(np.asarray(x, dtype=float))
+        # x is checked as given; beta x past the double range is clamped to
+        # its top, where every basis row has underflowed already
+        with np.errstate(over="ignore"):
+            y = np.minimum(self.beta * np.atleast_1d(_abscissae(x)),
+                           np.finfo(float).max)
         lhat = fun_series_stable(LagParams(alpha=0.0, n=self.N), y)
         out = self.coeffs @ _pairs(lhat, deriv)  # one N x len(x) matrix
         out = self.beta * out if deriv else out

@@ -1,6 +1,7 @@
 """Tests for Gauss and Gauss-Radau rule construction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def _plain_rule(alpha, N, kind):
     # Radau's interior nodes are the (alpha+1, N-1) Gauss nodes
     radau = kind is RuleKind.GAUSS_RADAU
     x = _plain_newton(alpha + radau, N - radau,
-                      nodes_eigen_seed(alpha + radau, N - radau))
+                      quadrature._seeds(alpha + radau, N - radau))
     lhat, _ = fun_value_deriv_stable(LagParams(alpha=alpha, n=N), x)
     if kind is RuleKind.GAUSS:
         log_fun_w = (math.lgamma(N + alpha + 1.0) - math.log(N + alpha + 1.0)
@@ -64,7 +65,7 @@ def _plain_rule(alpha, N, kind):
 
 
 def _assert_matches_plain(alpha, N):
-    seeds = nodes_eigen_seed(alpha, N)
+    seeds = quadrature._seeds(alpha, N)
     assert (refine_newton(alpha, N, seeds).tobytes()
             == _plain_newton(alpha, N, seeds).tobytes())
     for kind in RuleKind:
@@ -218,6 +219,106 @@ class TestNewton:
             nodes = refine_newton(0.0, 9, seeds)
         assert nodes[3] == seeds[3]
         assert np.all(np.diff(nodes) > 0)
+
+
+# the fast-seed grid: alpha from below the domain to its top edge, N from the
+# first rule above the crossover to 4099 points
+_LO, _HI = quadrature._FAST_SEED_ALPHA
+FAST_ALPHAS = [-0.5, _LO, BENCH_ALPHA, 1.0, 2.0, _HI]
+FAST_NS = [quadrature._FAST_SEED_POINTS - 1, 999, 1024, 2048, 2050, 4098]
+# worst seed error over this grid, relative to the eigen-seeded node:
+# 3.8e-10 (alpha = 5 at N = 499, the 21st node from the top)
+FAST_SEED_RTOL = 1e-9
+
+
+@pytest.fixture(scope="module")
+def fast_vs_eigen():
+    """Per (alpha, N), for the rule's own seeds ("fast") and the eigen
+    seeds ("eigen"): the seeds, the nodes Newton makes of them and its
+    kernel passes, with every warning an error."""
+    cache = {}
+
+    def newton(alpha, N, seeds):
+        passes = []
+        kernel = recurrence._rescaled_recurrence
+        recurrence._rescaled_recurrence = \
+            lambda a, n, xs, out=None: passes.append(n) or kernel(a, n, xs,
+                                                                  out)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                nodes = refine_newton(alpha, N, seeds)
+        finally:
+            recurrence._rescaled_recurrence = kernel
+        return {"seeds": seeds, "nodes": nodes, "passes": len(passes)}
+
+    def get(alpha, N):
+        if (alpha, N) not in cache:
+            cache[alpha, N] = {
+                "fast": newton(alpha, N, quadrature._seeds(alpha, N)),
+                "eigen": newton(alpha, N, nodes_eigen_seed(alpha, N))}
+        return cache[alpha, N]
+    return get
+
+
+@pytest.mark.parametrize("N", FAST_NS)
+@pytest.mark.parametrize("alpha", FAST_ALPHAS)
+class TestFastSeeds:
+    def test_rules_do_not_warn(self, alpha, N):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gauss_rule(alpha, N)
+
+    def test_at_most_one_more_newton_pass(self, fast_vs_eigen, alpha, N):
+        got = fast_vs_eigen(alpha, N)
+        assert got["fast"]["passes"] <= got["eigen"]["passes"] + 1
+
+    def test_nodes_within_16_ulps_of_eigen_seeded(self, fast_vs_eigen,
+                                                  alpha, N):
+        got = fast_vs_eigen(alpha, N)
+        ref = got["eigen"]["nodes"]
+        assert np.all(np.abs(got["fast"]["nodes"] - ref)
+                      <= 16 * np.spacing(ref))
+
+    def test_seed_error(self, fast_vs_eigen, alpha, N):
+        got = fast_vs_eigen(alpha, N)
+        seeds, ref = got["fast"]["seeds"], got["eigen"]["nodes"]
+        if not _LO <= alpha <= _HI:
+            assert seeds.tobytes() == got["eigen"]["seeds"].tobytes()
+        assert np.all(np.abs(seeds - ref) <= FAST_SEED_RTOL * ref)
+
+
+class TestSeedPaths:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Rows of every tridiagonal eigensolve while the test runs."""
+        rows = []
+        solver = quadrature.eigvalsh_tridiagonal
+        monkeypatch.setattr(quadrature, "eigvalsh_tridiagonal",
+                            lambda d, e: rows.append(d.size) or solver(d, e))
+        return rows
+
+    @pytest.mark.parametrize("N", [quadrature._FAST_SEED_POINTS - 1, 4098])
+    def test_no_full_size_eigensolve_above_crossover(self, solves, N):
+        # the Bessel-zero matrix and a trailing block of 18 (N+1)^(1/3) rows
+        gauss_rule(1.0, N)
+        gauss_radau_rule(0.0, N + 1)  # interior: alpha 1, N points
+        assert len(solves) == 4
+        assert max(solves) <= 18 * (N + 1) ** (1 / 3) < (N + 1) / 3
+
+    @pytest.mark.parametrize("alpha, N", [
+        (_HI + 0.5, 999), (-0.25, 999),
+        (1.0, quadrature._FAST_SEED_POINTS - 2)])
+    def test_full_solve_outside_domain_or_below_crossover(self, solves,
+                                                           alpha, N):
+        gauss_rule(alpha, N)
+        assert solves == [N + 1]
+
+    def test_radau_interior_below_crossover(self, solves):
+        # the interior family of the first fast Gauss size still has one
+        # point fewer
+        gauss_radau_rule(0.0, quadrature._FAST_SEED_POINTS - 1)
+        assert solves == [quadrature._FAST_SEED_POINTS - 1]
 
 
 class TestGaussRule:

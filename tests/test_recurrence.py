@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
-from lagspec import recurrence
+from lagspec import quadrature, recurrence
 from lagspec.oracle import hp_eval
 from lagspec.problems import make_case
 from lagspec.quadrature import gauss_rule
@@ -365,6 +365,44 @@ class TestArrayConvention:
 @pytest.fixture(scope="module")
 def nodes_2049():
     return gauss_rule(0.0, 2048).nodes
+
+
+class TestOnePointPass:
+    """A single abscissa runs through the kernel as two copies; the value
+    is the one the kernel gives that point alone."""
+
+    @pytest.mark.parametrize("alpha,n,x", [
+        (0.0, 1000, 3.0), (2.5, 40, 0.7), (0.0, 3, 1e-300), (150.0, 1000, 1e4),
+        (0.7, 2049, 8000.0), (0.0, 2, 5.0)])
+    def test_scalar_value_deriv_is_the_unpadded_kernel(self, alpha, n, x):
+        val, part, _ = recurrence._rescaled_recurrence(alpha, n,
+                                                       np.array([x]))
+        got = fun_value_deriv_stable(LagParams(alpha, n), x)
+        assert np.array(got).tobytes() == np.array(
+            [val[0], -part[0] - 0.5 * val[0]]).tobytes()
+
+    def test_single_missing_node_weight_pass(self, monkeypatch):
+        # Newton's table holds every final node of this rule; one hidden
+        # from it is evaluated on its own, and the rule keeps every byte
+        rule = gauss_rule(0.25, 20)
+        newton = quadrature._newton
+
+        def hide_one(alpha, N, seeds):
+            nodes, lhat = newton(alpha, N, seeds)
+            lhat[7] = np.nan
+            return nodes, lhat
+
+        monkeypatch.setattr(quadrature, "_newton", hide_one)
+        points = []
+        kernel = recurrence._rescaled_recurrence
+        monkeypatch.setattr(recurrence, "_rescaled_recurrence",
+                            lambda a, n, xs, out=None: points.append(
+                                xs.size) or kernel(a, n, xs, out))
+        again = gauss_rule(0.25, 20)
+        assert points[-1] == 2
+        for name in ("nodes", "weights", "fun_weights"):
+            assert getattr(again, name).tobytes() == \
+                getattr(rule, name).tobytes()
 
 
 class TestRescaledKernel:

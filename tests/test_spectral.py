@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,27 @@ class TestRhsAndSolve:
         h = 1e-6
         fd = (sol.evaluate(0.5 + h) - sol.evaluate(0.5 - h)) / (2 * h)
         assert darr[0] == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("deriv", [False, True])
+    def test_evaluate_where_beta_x_overflows(self, deriv):
+        # beta x = 2e308 is clamped to the top double, where every basis
+        # function has underflowed: zeros, and no overflow warning
+        sol = solve(make_case("u1").problem, 8, None, 2.0)
+        at = sol.evaluate_deriv if deriv else sol.evaluate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert at(1e308) == 0.0
+            out = at(np.array([0.5, 1e308]))
+        assert out[1] == 0.0 and out[0] == pytest.approx(at(0.5)) != 0.0
+
+    @pytest.mark.parametrize("x,shown", [(-1.0, "-1.0"), (math.nan, "nan"),
+                                         ([0.5, -1.0], "-1.0")])
+    def test_bad_abscissa_named_as_given(self, x, shown):
+        # the check sees x, not beta x
+        sol = solve(make_case("u1").problem, 8, None, 2.0)
+        for at in (sol.evaluate, sol.evaluate_deriv):
+            with pytest.raises(ValueError, match=f"got {shown}$"):
+                at(x)
 
 
 class TestErrorNorms:

@@ -8,11 +8,13 @@ output below, so "bitwise unchanged" is one command on each side:
 The outputs are ``beta_sweep`` cells of the three model cases, ``solve``
 coefficients with ``error_norms`` (quadrature check on), the solution's
 value and derivative, ``project_rhs``, Gauss and Radau rules at two
-(alpha, N), the rules of the benchmark's ``rules`` workload and a stalling
-Gauss rule at N=2050, the N=1024 solve of acceptance criterion 6 and its
-derivative evaluated at the 4099 nodes of its norm rule, the stable kernel's
-series and value/derivative at abscissae from 0 and the smallest subnormal
-up to 1.7e308, and the exact bytes and exit codes of CLI runs.  Floats
+(alpha, N), the rules of the benchmark's ``rules`` workload, a stalling
+Gauss rule at N=2050, rules on both sides of the seed crossover and just
+outside the alpha range of the O(N) seeds, the N=1024 solve of acceptance
+criterion 6 and its derivative evaluated at the 4099 nodes of its norm
+rule, the stable kernel's series and value/derivative (array and scalar) at
+abscissae from 0 and the smallest subnormal up to 1.7e308, and the exact
+bytes and exit codes of CLI runs.  Floats
 enter the hash as their IEEE bytes (``float.hex``), arrays as
 ``tobytes()``.
 Only the standard library and lagspec are used; ``lagspec`` is imported
@@ -41,10 +43,15 @@ CASES = {"u1": problems.make_case("u1", k=2.0, gamma=2.0).problem,
 
 _G, _R = quadrature.RuleKind.GAUSS, quadrature.RuleKind.GAUSS_RADAU
 # (alpha, N, kind): two small pairs in both kinds, the four rules of the
-# benchmark's ``rules`` workload (seed 1), and N=2050, whose Newton stalls
+# benchmark's ``rules`` workload (seed 1), N=2050, whose Newton stalls, the
+# last eigen-seeded and first O(N)-seeded rule of each kind (499 and 500
+# points; Radau seeds its N interior nodes) and a 1000-point rule at the
+# double just above the largest alpha with O(N) seeds
 RULES = ([(a, N, k) for a, N in ((0.0, 120), (1.5, 300)) for k in (_G, _R)]
          + [(0.0, 999, _G), (0.0, 2048, _G), (0.0, 999, _R),
-            (0.7015463661686019, 999, _G), (0.0, 2050, _G)])
+            (0.7015463661686019, 999, _G), (0.0, 2050, _G),
+            (0.0, 498, _G), (0.0, 499, _G), (0.0, 499, _R), (0.0, 500, _R),
+            (5.000000000000001, 999, _G)])
 
 # the kernel at its edges: zero, subnormal, tiny, moderate and huge x
 KERNEL_X = [0.0, 5e-324, 1e-300, 0.5, 2.0, 1e4, 1e30, 1e150, 1e200, 1.7e308]
@@ -119,6 +126,9 @@ def outputs():
         yield f"value_deriv {alpha} {n}", b"".join(
             v.tobytes() for v in recurrence.fun_value_deriv_stable(
                 params, KERNEL_X))
+        yield f"value_deriv scalar {alpha} {n}", b"".join(
+            _fl(v) for x in KERNEL_X
+            for v in recurrence.fun_value_deriv_stable(params, x))
     for argv in CLI_RUNS:
         yield "cli " + " ".join(argv), _cli(argv)
 
