@@ -7,14 +7,18 @@ matrices are tridiagonal with closed-form entries, so one solve costs
 O(N); right-hand sides and error norms are evaluated by Gauss quadrature
 in the scaled variable using function-form weights.
 
-The basis lives in ``y``, so it does not depend on beta.  It is built at
-the nodes of two rules and kept per ``(N, M)`` in a cache bounded by bytes:
-psi at the (M+1)-point rule of the load vector, and psi, dpsi at the
-(2M+3)-point rule of the error norms.  ``solve`` runs ``project_rhs``
-(``f(y/beta)`` sampled and projected with one matrix-vector product),
-``assemble_system`` and a banded Cholesky solve; ``error_norms`` reads the
-second rule's matrices.  Solves and sweeps at the same ``(N, M)``, such as
-the sweeps of several problems over one grid of N, share the bases.
+The basis lives in ``y``, so it does not depend on beta.  A rule basis is
+the series ``Lhat_0 .. Lhat_N`` at the nodes of one rule, kept per
+``(N, K)`` in a cache bounded by bytes: the (M+1)-point rule of the load
+vector and the (2M+3)-point rule of the error norms.  psi and dpsi are
+never formed: a combination ``sum_n c_n psi_n`` (or ``dpsi_n``) is the
+series weighted by ``c_m - c_{m-1}`` (or ``(c_m + c_{m-1}) / 2``), and a
+projection on psi is a difference of neighbouring projections on the
+series.  ``solve`` runs ``project_rhs`` (``f(y/beta)`` sampled and
+projected with one matrix-vector product), ``assemble_system`` and a
+banded Cholesky solve; ``error_norms`` reads the second rule's basis.
+Solves and sweeps at the same N, such as the sweeps of several problems
+over one grid of N, share the bases.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ class SpectralSolution:
             y = np.minimum(self.beta * np.atleast_1d(_abscissae(x)),
                            np.finfo(float).max)
         lhat = fun_series_stable(LagParams(alpha=0.0, n=self.N), y)
-        out = self.coeffs @ _pairs(lhat, deriv)  # one N x len(x) matrix
+        out = _series_coeffs(self.coeffs, deriv) @ lhat
         out = self.beta * out if deriv else out
         return out if np.ndim(x) else out[0]
 
@@ -95,17 +99,12 @@ class ErrorReport:
     quad_error_estimate: float | None = None
 
 
-def _pairs(lhat: np.ndarray, deriv: bool) -> np.ndarray:
-    """psi_n = Lhat_n - Lhat_{n+1}, or dpsi_n = (Lhat_n + Lhat_{n+1}) / 2, made
-    upwards in the rows of the series ``lhat`` and returned as ``lhat[:-1]``:
-    bit for bit ``lhat[:-1] - lhat[1:]`` or ``0.5 * (lhat[:-1] + lhat[1:])``.
-    """
-    op = np.add if deriv else np.subtract
-    for n in range(lhat.shape[0] - 1):
-        op(lhat[n], lhat[n + 1], out=lhat[n])
-    if deriv:
-        lhat[:-1] *= 0.5
-    return lhat[:-1]
+def _series_coeffs(c: np.ndarray, deriv: bool) -> np.ndarray:
+    """Weights of the rows ``Lhat_0 .. Lhat_N`` that sum to ``c @ psi``,
+    ``c_m - c_{m-1}``, or to ``c @ dpsi`` with ``dpsi_n = (Lhat_n +
+    Lhat_{n+1}) / 2``, ``(c_m + c_{m-1}) / 2``; ``c_{-1} = c_N = 0``."""
+    p = np.concatenate(([0.0], c, [0.0]))
+    return 0.5 * (p[1:] + p[:-1]) if deriv else p[1:] - p[:-1]
 
 
 def assemble_system(N: int, gamma_eff: float) -> tuple[np.ndarray, np.ndarray]:
@@ -126,31 +125,29 @@ def assemble_system(N: int, gamma_eff: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _RuleBasis:
-    """psi (and, for the norms, dpsi) at the nodes ``y`` of one Gauss rule,
-    with its function-form weights ``w``; all read-only, as it is shared."""
+    """Rows ``Lhat_0 .. Lhat_N`` at the nodes ``y`` of one Gauss rule, with
+    its function-form weights ``w``; all read-only, as it is shared."""
 
     y: np.ndarray
     w: np.ndarray
-    psi: np.ndarray
-    dpsi: np.ndarray | None
+    lhat: np.ndarray
 
 
 # Rule bases kept for reuse across solves, norms and sweeps, least recently
 # used first.  Before a basis is built, bases of other N are dropped in that
 # order until it fits in _BASES_BYTES with the rest; those of its own N stay,
 # so a beta loop at one N builds each of its two bases once.  At M = 2N the
-# bases of one N take about 80 N^2 bytes, 21 MB at N = 512.
+# bases of one N take about 48 N^2 bytes, 12.6 MB at N = 512.
 _BASES_BYTES = 64 << 20
-_bases: dict[tuple[int, int, bool], _RuleBasis] = {}
+_bases: dict[tuple[int, int], _RuleBasis] = {}
 
 
-def _basis_bytes(N: int, K: int, deriv: bool) -> int:
-    # lhat, (N+1) x (K+1) doubles, holds psi or dpsi; the norm rule adds psi
-    return 8 * (N + 1) * (K + 1) * (2 if deriv else 1)
+def _basis_bytes(N: int, K: int) -> int:
+    return 8 * (N + 1) * (K + 1)
 
 
-def _rule_basis(N: int, K: int, deriv: bool) -> _RuleBasis:
-    key = (N, K, deriv)
+def _rule_basis(N: int, K: int) -> _RuleBasis:
+    key = (N, K)
     rb = _bases.pop(key, None)
     if rb is None:
         need = sum(_basis_bytes(*k) for k in (key, *_bases))
@@ -159,19 +156,16 @@ def _rule_basis(N: int, K: int, deriv: bool) -> _RuleBasis:
                 break
             need -= _basis_bytes(*old)
             del _bases[old]
-        rb = _build_basis(N, K, deriv)
+        rb = _build_basis(N, K)
     _bases[key] = rb
     return rb
 
 
-def _build_basis(N: int, K: int, deriv: bool) -> _RuleBasis:
+def _build_basis(N: int, K: int) -> _RuleBasis:
     rule = cached_gauss_rule(0.0, K)
     lhat = fun_series_stable(LagParams(alpha=0.0, n=N), rule.nodes)
-    psi = lhat[:-1] - lhat[1:] if deriv else _pairs(lhat, False)
-    dpsi = _pairs(lhat, True) if deriv else None
-    for a in (psi, dpsi) if deriv else (psi,):
-        a.flags.writeable = False
-    return _RuleBasis(rule.nodes, rule.fun_weights, psi, dpsi)
+    lhat.flags.writeable = False
+    return _RuleBasis(rule.nodes, rule.fun_weights, lhat)
 
 
 def project_rhs(problem: ModelProblem, N: int, M: int, beta: float
@@ -193,13 +187,14 @@ def project_rhs(problem: ModelProblem, N: int, M: int, beta: float
             and 0.0 < problem.gamma / b2 < math.inf):
         raise ValueError("beta must be finite and > 0, with beta**2 and "
                          f"gamma/beta**2 positive doubles, got {beta}")
-    rb = _rule_basis(N, M, False)
+    rb = _rule_basis(N, M)
     g = np.asarray(problem.f(rb.y / beta), dtype=float)
     if not np.all(np.isfinite(g)):
         j = int(np.flatnonzero(~np.isfinite(g))[0])
         raise ArithmeticError(
             f"right-hand side non-finite at node x = {rb.y[j] / beta}")
-    return rb.psi @ (g * rb.w) / beta ** 2
+    t = rb.lhat @ (g * rb.w)  # (g/beta^2, psi_n) = (t_n - t_{n+1}) / beta^2
+    return (t[:-1] - t[1:]) / beta ** 2
 
 
 def solve(problem: ModelProblem, N: int, M: int | None = None,
@@ -224,16 +219,16 @@ def solve(problem: ModelProblem, N: int, M: int | None = None,
                             problem=problem)
 
 
-def _norms_at_order(sol: SpectralSolution, rb: _RuleBasis
+def _norms_at_order(sol: SpectralSolution, rb: _RuleBasis, h1: bool
                     ) -> tuple[float, float]:
     problem = sol.problem
     y, w = rb.y, rb.w
     beta = sol.beta
-    v_num = sol.coeffs @ rb.psi
+    v_num = _series_coeffs(sol.coeffs, False) @ rb.lhat
     v_ex = np.asarray(problem.u_exact(y / beta), dtype=float)
     l2_y = math.sqrt(float(np.sum((v_ex - v_num) ** 2 * w)))
-    if problem.u_exact_prime is not None and rb.dpsi is not None:
-        dv_num = sol.coeffs @ rb.dpsi
+    if h1 and problem.u_exact_prime is not None:
+        dv_num = _series_coeffs(sol.coeffs, True) @ rb.lhat
         dv_ex = np.asarray(problem.u_exact_prime(y / beta), dtype=float) / beta
         h1_y = math.sqrt(float(np.sum((dv_ex - dv_num) ** 2 * w)))
     else:
@@ -253,11 +248,11 @@ def error_norms(sol: SpectralSolution, *,
     """
     if sol.problem.u_exact is None:  # before any basis is built
         raise ValueError("problem has no exact solution to compare against")
-    l2, h1 = _norms_at_order(sol, _rule_basis(sol.N, 2 * sol.M + 2, True))
+    l2, h1 = _norms_at_order(sol, _rule_basis(sol.N, 2 * sol.M + 2), True)
     quad_est = None
     if check_quadrature:
-        # a one-off check, about twice the norm rule's size, psi only: not kept
-        l2b, _ = _norms_at_order(sol, _build_basis(sol.N, 4 * sol.M, False))
+        # a one-off check, about twice the norm rule's size, L2 only: not kept
+        l2b, _ = _norms_at_order(sol, _build_basis(sol.N, 4 * sol.M), False)
         quad_est = abs(l2b - l2)
     return ErrorReport(l2_error=l2, h1_semi_error=h1, N=sol.N, beta=sol.beta,
                        quad_error_estimate=quad_est)

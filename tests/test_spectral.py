@@ -26,10 +26,17 @@ from lagspec.spectral import (
 
 
 def _basis(N, y):
-    """``(psi, dpsi)`` at ``y`` by their definition from one stable series:
-    the exact bits the solver's in-place builder must give."""
+    """``(psi, dpsi)`` at ``y`` by their definition from one stable series."""
     lhat = fun_series_stable(LagParams(0.0, N), np.asarray(y, dtype=float))
     return lhat[:-1] - lhat[1:], 0.5 * (lhat[:-1] + lhat[1:])
+
+
+def _coeff_maps(c):
+    """``(d, e)`` by their definition: ``d_m = c_m - c_{m-1}`` and ``e_m =
+    (c_m + c_{m-1}) / 2`` with ``c_{-1} = c_N = 0``, the weights of the
+    series rows that the solver uses for ``c @ psi`` and ``c @ dpsi``."""
+    p = np.concatenate(([0.0], c, [0.0]))
+    return p[1:] - p[:-1], (p[1:] + p[:-1]) / 2
 
 
 def _trial_space_forcing(beta, gamma):
@@ -82,27 +89,42 @@ class TestBasis:
         assert psi.shape == (4, 5)
         assert dpsi.shape == (4, 5)
 
-    def test_in_place_build_matches_slice_expressions(self):
-        # psi or dpsi is made in the series' rows, which are returned
-        y = np.linspace(0.0, 40.0, 7)
-        for deriv, ref in zip((False, True), _basis(5, y)):
-            lhat = fun_series_stable(LagParams(0.0, 5), y)
-            out = spectral._pairs(lhat, deriv)
-            assert np.shares_memory(out, lhat) and out.shape == (5, 7)
-            assert out.tobytes() == ref.tobytes()
-
     def test_evaluate_equals_definition_bitwise(self):
-        # each evaluator builds the one matrix it reads, with the same bits
+        # each evaluator weights the rows of the one series it builds
         sol = solve(make_case("u1").problem, 16, 32, 2.0)
         x = np.linspace(0.0, 30.0, 41)
-        psi, dpsi = _basis(16, sol.beta * x)
-        assert sol.evaluate(x).tobytes() == (sol.coeffs @ psi).tobytes()
+        lhat = fun_series_stable(LagParams(0.0, 16), sol.beta * x)
+        d, e = _coeff_maps(sol.coeffs)
+        assert sol.evaluate(x).tobytes() == (d @ lhat).tobytes()
         assert sol.evaluate_deriv(x).tobytes() == \
-            (sol.beta * (sol.coeffs @ dpsi)).tobytes()
+            (sol.beta * (e @ lhat)).tobytes()
+
+    @pytest.mark.parametrize("N", [8, 64])
+    def test_coefficient_maps_equal_psi_definition(self, N):
+        # the trial space is psi: synthesis and projection through the
+        # series agree with psi and dpsi to round-off, within the bound of
+        # a length-(N+2) dot product of terms of size |c_n| |Lhat| <= |c_n|
+        # (and |g w| for the projection)
+        eps = np.finfo(float).eps
+        problem, beta = make_case("u1").problem, 2.0
+        sol = solve(problem, N, 2 * N, beta)
+        rule = gauss_rule(0.0, 2 * N)
+        x = rule.nodes / beta
+        psi, dpsi = _basis(N, rule.nodes)
+        tol = 4 * (N + 2) * eps * np.abs(sol.coeffs).sum()
+        np.testing.assert_allclose(sol.evaluate(x), sol.coeffs @ psi,
+                                   rtol=0, atol=tol)
+        np.testing.assert_allclose(sol.evaluate_deriv(x),
+                                   beta * (sol.coeffs @ dpsi), rtol=0,
+                                   atol=beta * tol)
+        gw = problem.f(x) * rule.fun_weights
+        np.testing.assert_allclose(
+            project_rhs(problem, N, 2 * N, beta), psi @ gw / beta ** 2,
+            rtol=0, atol=4 * (2 * N + 2) * eps * np.abs(gw).sum() / beta ** 2)
 
     def test_evaluate_memory_one_matrix(self):
-        # a memory count, not a timing: evaluate holds the series it turns
-        # into psi and no second (N+1) x len(x) matrix
+        # a memory count, not a timing: evaluate holds the series it
+        # weights and no second (N+1) x len(x) matrix
         N, x = 512, np.linspace(0.0, 200.0, 4000)
         sol = solve(make_case("u2").problem, N, 2 * N, 0.6)
         sol.evaluate(x[:8])  # one-off allocations
@@ -413,14 +435,21 @@ class TestSweepPlan:
         assert sorted(calls) == [8, 8, 16, 16]
 
     def test_rule_bases_equal_definition_bitwise(self):
-        load = spectral._rule_basis(8, 16, False)
-        norms = spectral._rule_basis(8, 34, True)
-        check = spectral._build_basis(8, 64, False)
-        # the load and the quadrature check's bases are psi only
-        assert load.dpsi is None and check.dpsi is None
-        for rb in (load, norms, check):
-            assert rb.psi.tobytes() == _basis(8, rb.y)[0].tobytes()
-        assert norms.dpsi.tobytes() == _basis(8, norms.y)[1].tobytes()
+        # every rule basis is the series at the rule's nodes, and the load
+        # vector is the difference of neighbouring projections on it
+        load = spectral._rule_basis(8, 16)
+        norms = spectral._rule_basis(8, 34)
+        check = spectral._build_basis(8, 64)
+        for rb, K in ((load, 16), (norms, 34), (check, 64)):
+            rule = gauss_rule(0.0, K)
+            assert rb.y.tobytes() == rule.nodes.tobytes()
+            assert rb.w.tobytes() == rule.fun_weights.tobytes()
+            assert rb.lhat.tobytes() == fun_series_stable(
+                LagParams(0.0, 8), rule.nodes).tobytes()
+        problem, beta = make_case("u1").problem, 2.0
+        t = load.lhat @ (problem.f(load.y / beta) * load.w)
+        assert project_rhs(problem, 8, 16, beta).tobytes() == \
+            ((t[:-1] - t[1:]) / beta ** 2).tobytes()
 
     def test_cells_equal_direct_solve_bitwise(self):
         problem = make_case("u1", k=2.0, gamma=2.0).problem
@@ -492,8 +521,8 @@ class TestBasisCache:
         assert beta_sweep(problem, [8, 16], [1.0, 2.0]) == first
         assert calls == []
         # a load and a norm basis for each N
-        assert sorted(spectral._bases) == [(8, 16, False), (8, 34, True),
-                                           (16, 32, False), (16, 66, True)]
+        assert sorted(spectral._bases) == [(8, 16), (8, 34), (16, 32),
+                                           (16, 66)]
 
     def test_sweep_of_another_problem_builds_nothing(self, monkeypatch,
                                                      cold_bases):
@@ -529,11 +558,11 @@ class TestBasisCache:
         calls = _count_series(monkeypatch)
         beta_sweep(make_case("u1").problem, [8, 16], [1.0, 2.0, 4.0])
         assert sorted(calls) == [8, 8, 16, 16]
-        assert sorted(spectral._bases) == [(16, 32, False), (16, 66, True)]
+        assert sorted(spectral._bases) == [(16, 32), (16, 66)]
 
     def test_evicts_least_recently_used_first(self, monkeypatch, cold_bases):
         # room for the bases of N=4 and N=16 but not for those of N=8 besides
-        kept = [(4, 8, False), (4, 18, True), (16, 32, False), (16, 66, True)]
+        kept = [(4, 8), (4, 18), (16, 32), (16, 66)]
         monkeypatch.setattr(spectral, "_BASES_BYTES",
                             sum(spectral._basis_bytes(*k) for k in kept))
         problem = make_case("u1").problem
@@ -545,7 +574,7 @@ class TestBasisCache:
     def test_check_quadrature_basis_is_not_kept(self, cold_bases):
         problem = make_case("u1").problem
         error_norms(solve(problem, 8, 16, 1.0), check_quadrature=True)
-        assert sorted(spectral._bases) == [(8, 16, False), (8, 34, True)]
+        assert sorted(spectral._bases) == [(8, 16), (8, 34)]
 
     @pytest.mark.parametrize("beta", [0.0, math.inf, 1e200])
     def test_bad_beta_builds_no_basis(self, monkeypatch, cold_bases, beta):
@@ -566,14 +595,40 @@ class TestBasisCache:
         with pytest.raises(ValueError, match="no exact solution"):
             error_norms(sol, check_quadrature=check)
         assert calls == []
-        assert list(spectral._bases) == [(8, 16, False)]
+        assert list(spectral._bases) == [(8, 16)]
 
     def test_cached_basis_is_read_only(self):
-        rb = spectral._rule_basis(8, 34, True)
-        load = spectral._rule_basis(8, 16, False)
-        for a in (rb.y, rb.w, rb.psi, rb.dpsi, load.psi):
+        rb = spectral._rule_basis(8, 34)
+        load = spectral._rule_basis(8, 16)
+        for a in (rb.y, rb.w, rb.lhat, load.lhat):
             with pytest.raises(ValueError):
                 a[0] = 99.0
+
+    def test_cold_norms_hold_one_series_per_rule(self, monkeypatch,
+                                                 cold_bases):
+        # a memory count, not a timing.  The cold call keeps the load and
+        # the norm series and nothing else; its tracemalloc peak measures
+        # 2.13-2.15 norm series here (2.53-2.55 when the norm basis was
+        # psi and dpsi)
+        N, M = 256, 512
+        problem = make_case("u2").problem
+        tracemalloc.start()
+        try:
+            error_norms(solve(problem, N, M, 0.6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        norm = 8 * (N + 1) * (2 * M + 3)
+        held = sum(rb.lhat.nbytes for rb in spectral._bases.values())
+        assert held == 8 * (N + 1) * (M + 1) + norm
+        assert held == sum(spectral._basis_bytes(*k) for k in spectral._bases)
+        assert peak < 2.3 * norm, f"peak {peak / norm:.2f} norm series"
+        # a load rule of 2M+3 points is the norm rule: it reads that basis
+        norms = spectral._bases[N, 2 * M + 2]
+        calls = _count_series(monkeypatch)
+        project_rhs(problem, N, 2 * M + 2, 0.6)
+        assert calls == [] and len(spectral._bases) == 2
+        assert spectral._rule_basis(N, 2 * M + 2) is norms
 
 
 class TestBenchmarkCases:

@@ -5,11 +5,12 @@ output below, so "bitwise unchanged" is one command on each side:
 
     python tools/output_digest.py          # from the repository root
 
-The outputs are ``beta_sweep`` cells of the three model cases, ``solve``
+The outputs are ``beta_sweep`` cells of the three model cases and of the
+benchmark's ``sweep`` grid (one output per case and N), ``solve``
 coefficients with ``error_norms`` (quadrature check on), the solution's
 value and derivative, ``project_rhs``, Gauss and Radau rules at two
-(alpha, N), the rules of the benchmark's ``rules`` workload, a stalling
-Gauss rule at N=2050, rules on both sides of the seed crossover and just
+(alpha, N), the rules of the benchmark's ``rules`` workload, the Gauss
+rule at N=2050, rules on both sides of the seed crossover and just
 outside the alpha range of the O(N) seeds, the N=1024 solve of acceptance
 criterion 6 and its derivative evaluated at the 4099 nodes of its norm
 rule, the stable kernel's series and value/derivative (array and scalar) at
@@ -43,10 +44,10 @@ CASES = {"u1": problems.make_case("u1", k=2.0, gamma=2.0).problem,
 
 _G, _R = quadrature.RuleKind.GAUSS, quadrature.RuleKind.GAUSS_RADAU
 # (alpha, N, kind): two small pairs in both kinds, the four rules of the
-# benchmark's ``rules`` workload (seed 1), N=2050, whose Newton stalls, the
-# last eigen-seeded and first O(N)-seeded rule of each kind (499 and 500
-# points; Radau seeds its N interior nodes) and a 1000-point rule at the
-# double just above the largest alpha with O(N) seeds
+# benchmark's ``rules`` workload (seed 1), N=2050, the last eigen-seeded
+# and first O(N)-seeded rule of each kind (499 and 500 points; Radau seeds
+# its N interior nodes) and a 1000-point rule at the double just above the
+# largest alpha with O(N) seeds
 RULES = ([(a, N, k) for a, N in ((0.0, 120), (1.5, 300)) for k in (_G, _R)]
          + [(0.0, 999, _G), (0.0, 2048, _G), (0.0, 999, _R),
             (0.7015463661686019, 999, _G), (0.0, 2050, _G),
@@ -56,6 +57,11 @@ RULES = ([(a, N, k) for a, N in ((0.0, 120), (1.5, 300)) for k in (_G, _R)]
 # the kernel at its edges: zero, subnormal, tiny, moderate and huge x
 KERNEL_X = [0.0, 5e-324, 1e-300, 0.5, 2.0, 1e4, 1e30, 1e150, 1e200, 1.7e308]
 KERNEL_PARAMS = [(0.0, 2), (2.5, 40), (150.0, 1000)]
+
+# the benchmark's ``sweep`` workload without its jitter of the u3 betas
+BENCH_SWEEP_NS = [64, 128, 256, 512]
+BENCH_SWEEPS = [("u1", [1.0, 2.0, 4.47, 8.0, 16.0]),
+                ("u3", [0.25, 0.5, 1.0, 2.0, 4.0])]
 
 CLI_RUNS = [
     ["quad", "--n", "40", "--alpha", "0.5"],
@@ -96,6 +102,11 @@ def outputs():
     for name, prob in CASES.items():
         cells = spectral.beta_sweep(prob, [8, 16, 24], [0.5, 1.0, 2.0, 4.0])
         yield f"sweep {name}", _cells(cells)
+    for name, betas in BENCH_SWEEPS:
+        cells = spectral.beta_sweep(CASES[name], BENCH_SWEEP_NS, betas)
+        for N in BENCH_SWEEP_NS:
+            yield f"bench sweep {name} N={N}", _cells(
+                c for c in cells if c["N"] == N)
     for name, N, beta in (("u1", 32, 1.5), ("u2", 96, 0.6), ("u3", 48, 2.0)):
         sol = spectral.solve(CASES[name], N, None, beta)
         rep = spectral.error_norms(sol, check_quadrature=True)
