@@ -4,8 +4,10 @@ Nodes are seeded and polished by Newton iterations driven by the stable
 function evaluation; a table keeps every abscissa evaluated, small passes
 are padded with neighbouring doubles, and the Gauss weights reuse the
 table's L_N.  Seeds are the eigenvalues of the tridiagonal recurrence
-matrix, an O(N^2) solve, below 500 points or for alpha outside [0, 5], and
-O(N) asymptotic forms otherwise (``_seeds``).
+matrix below 500 points or for alpha outside [0, 5], and O(N) asymptotic
+forms otherwise (``_seeds``).  Eigensolves below 500 rows run dense in
+numpy's LAPACK (O(N^3), 17 ms at 499 rows, scipy's bits); only larger ones
+import scipy.linalg: eigen seeds of 500+ points, trailing blocks at 21,434+.
 Weights come from the closed forms with all Gamma ratios kept in log space
 and the squared basis value in function form, so rules with thousands of
 points neither overflow nor lose their weights to premature underflow.
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .recurrence import LagParams, _value_deriv_prev, fun_value_deriv_stable
 
@@ -45,9 +46,11 @@ _NEWTON_REL_STEP_TOL = 4.0 * _EPS
 # points below this ride almost free
 _NEWTON_PAD_POINTS = 256
 # Rules of this many points or more with alpha in this range get O(N)
-# seeds: 0.8 ms at 500 points against the eigen seed's 4.4 ms and a Newton
-# pass's 3.1 ms.  Below alpha = 0 the smallest nodes keep up to 81 ulps of
-# their seed (-0.4, N = 2050); the seed error is 3.8e-10 at 5, 6e-9 at 10.
+# seeds: 1.5 ms at 500 points against the eigen seed's 4.7 ms and a Newton
+# pass's 2.0 ms (medians of 31, one thread of a 2-vCPU AVX-512 Xeon), and
+# smaller eigensolves run dense.  Below alpha = 0 the smallest nodes keep up
+# to 81 ulps of their seed (-0.4, N = 2050); the seed error is 3.8e-10 at 5,
+# 6e-9 at 10.
 _FAST_SEED_POINTS = 500
 _FAST_SEED_ALPHA = (0.0, 5.0)
 
@@ -108,14 +111,25 @@ def nodes_eigen_seed(alpha: float, N: int) -> np.ndarray:
     LagParams(alpha=alpha, n=N)  # the check of (alpha, N)
     j = np.arange(N + 1, dtype=float)
     diag = 2.0 * j + alpha + 1.0
-    off = -np.sqrt(j[1:] * (j[1:] + alpha))
-    try:
-        ev = eigvalsh_tridiagonal(diag, off)
-    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
-        raise ArithmeticError(f"tridiagonal eigensolver failed: {exc}") from exc
+    ev = _tridiagonal_eigvals(diag, -np.sqrt(j[1:] * (j[1:] + alpha)))
     if np.any(np.diff(ev) <= 0):
         raise ArithmeticError("eigenvalues are not strictly increasing")
     return ev
+
+
+def _tridiagonal_eigvals(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal (diag, off): dense
+    LAPACK dsyevd below ``_FAST_SEED_POINTS`` rows, whose reduction keeps a
+    tridiagonal input exact (every Householder tau is 0) for dsterf, as in
+    scipy's stevd, so the bits are scipy's without importing scipy.linalg;
+    scipy's O(n^2) stevd from there on, where the O(n^3) dense one lags."""
+    try:
+        if diag.size < _FAST_SEED_POINTS:
+            return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1), "L")
+        from scipy.linalg import eigvalsh_tridiagonal
+        return eigvalsh_tridiagonal(diag, off)
+    except Exception as exc:
+        raise ArithmeticError(f"tridiagonal eigensolver failed: {exc}") from exc
 
 
 def _seeds(alpha: float, N: int) -> np.ndarray:
@@ -130,7 +144,7 @@ def _seeds(alpha: float, N: int) -> np.ndarray:
     if N + 1 < _FAST_SEED_POINTS or not lo <= alpha <= hi:
         return nodes_eigen_seed(alpha, N)
     a = alpha + 2.0 * np.arange(1, 97)
-    ev = eigvalsh_tridiagonal(0.5 / ((a - 1.0) * (a + 1.0)), 0.25 / (
+    ev = _tridiagonal_eigvals(0.5 / ((a - 1.0) * (a + 1.0)), 0.25 / (
         (a[:-1] + 1.0) * np.sqrt(a[:-1] * (a[:-1] + 2.0))))
     mu, b = 4.0 * alpha * alpha, (np.arange(25, N - 18) + 0.5 * alpha
                                   - 0.25) * np.pi
@@ -149,7 +163,7 @@ def _seeds(alpha: float, N: int) -> np.ndarray:
         1.25 / c - 1.0) / (3.0 * c) + 1.0 / 3.0 - alpha * alpha) / nu
     # the top 20 eigenvectors live in the last 18 (N+1)^(1/3) rows
     k = np.arange(N + 1 - int(18.0 * np.cbrt(N + 1.0)), N + 1, dtype=float)
-    return np.concatenate((x, eigvalsh_tridiagonal(
+    return np.concatenate((x, _tridiagonal_eigvals(
         2.0 * k + alpha + 1.0, -np.sqrt(k[1:] * (k[1:] + alpha)))[-20:]))
 
 

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_genlaguerre, roots_laguerre
@@ -113,12 +114,25 @@ class TestSeeds:
 
     def test_unsorted_eigenvalues_are_a_numeric_failure(self, monkeypatch):
         # the eigensolver's ascending order is checked, not restored
-        solver = quadrature.eigvalsh_tridiagonal
-        monkeypatch.setattr(quadrature, "eigvalsh_tridiagonal",
+        solver = quadrature._tridiagonal_eigvals
+        monkeypatch.setattr(quadrature, "_tridiagonal_eigvals",
                             lambda d, e: solver(d, e)[::-1])
         with pytest.raises(ArithmeticError,
                            match="not strictly increasing"):
             nodes_eigen_seed(0.0, 9)
+
+    # 10 rows run dense in numpy, 500 rows (alpha outside the fast-seed
+    # range) in scipy's tridiagonal solver
+    @pytest.mark.parametrize("module, name, alpha, N", [
+        (np.linalg, "eigvalsh", 0.0, 9),
+        (scipy.linalg, "eigvalsh_tridiagonal", 6.0, 499)])
+    def test_lapack_failure_is_a_numeric_failure(self, monkeypatch, module,
+                                                 name, alpha, N):
+        def fail(*args):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        monkeypatch.setattr(module, name, fail)
+        with pytest.raises(ArithmeticError, match="eigensolver failed"):
+            gauss_rule(alpha, N)
 
     @pytest.mark.parametrize("rule", [gauss_rule, gauss_radau_rule])
     def test_infinite_alpha_is_a_usage_error(self, rule):
@@ -296,8 +310,8 @@ class TestSeedPaths:
     def solves(self, monkeypatch):
         """Rows of every tridiagonal eigensolve while the test runs."""
         rows = []
-        solver = quadrature.eigvalsh_tridiagonal
-        monkeypatch.setattr(quadrature, "eigvalsh_tridiagonal",
+        solver = quadrature._tridiagonal_eigvals
+        monkeypatch.setattr(quadrature, "_tridiagonal_eigvals",
                             lambda d, e: rows.append(d.size) or solver(d, e))
         return rows
 
@@ -322,6 +336,42 @@ class TestSeedPaths:
         # point fewer
         gauss_radau_rule(0.0, quadrature._FAST_SEED_POINTS - 1)
         assert solves == [quadrature._FAST_SEED_POINTS - 1]
+
+
+class TestDenseEigensolve:
+    """Below the crossover the eigensolve runs dense in numpy, and gives
+    the bits of scipy's tridiagonal solver on every matrix the seeds build."""
+
+    @pytest.fixture
+    def matrices(self, monkeypatch):
+        """(diag, off, eigenvalues) of every eigensolve while the test runs."""
+        calls = []
+        solver = quadrature._tridiagonal_eigvals
+
+        def recorded(d, e):
+            calls.append((d, e, solver(d, e)))
+            return calls[-1][2]
+        monkeypatch.setattr(quadrature, "_tridiagonal_eigvals", recorded)
+        return calls
+
+    def _check(self, calls, n):
+        assert len(calls) == n
+        for d, e, ev in calls:
+            assert d.size < quadrature._FAST_SEED_POINTS  # the dense path
+            assert ev.tobytes() == scipy.linalg.eigvalsh_tridiagonal(
+                d, e).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 2, 16, 96, 256, 499])
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.7, 1.0, 5.0, 7.0])
+    def test_jacobi_matrices(self, matrices, alpha, rows):
+        nodes_eigen_seed(alpha, rows - 1)
+        self._check(matrices, 1)
+
+    @pytest.mark.parametrize("N", [999, 2048, 4098, 16386])
+    @pytest.mark.parametrize("alpha", [0.0, BENCH_ALPHA, 5.0])
+    def test_bessel_matrix_and_trailing_block(self, matrices, alpha, N):
+        quadrature._seeds(alpha, N)
+        self._check(matrices, 2)
 
 
 class TestGaussRule:

@@ -11,7 +11,8 @@ coefficients with ``error_norms`` (quadrature check on), the solution's
 value and derivative, ``project_rhs``, Gauss and Radau rules at two
 (alpha, N), the rules of the benchmark's ``rules`` workload, the Gauss
 rule at N=2050, rules on both sides of the seed crossover and just
-outside the alpha range of the O(N) seeds, the N=1024 solve of acceptance
+outside the alpha range of the O(N) seeds, eigen seeds on both sides of
+the dense eigensolve's crossover, the N=1024 solve of acceptance
 criterion 6 and its derivative evaluated at the 4099 nodes of its norm
 rule, the stable kernel's series and value/derivative (array and scalar) at
 abscissae from 0 and the smallest subnormal up to 1.7e308, and the exact
@@ -46,13 +47,14 @@ _G, _R = quadrature.RuleKind.GAUSS, quadrature.RuleKind.GAUSS_RADAU
 # (alpha, N, kind): two small pairs in both kinds, the four rules of the
 # benchmark's ``rules`` workload (seed 1), N=2050, the last eigen-seeded
 # and first O(N)-seeded rule of each kind (499 and 500 points; Radau seeds
-# its N interior nodes) and a 1000-point rule at the double just above the
-# largest alpha with O(N) seeds
+# its N interior nodes), a 1000-point rule at the double just above the
+# largest alpha with O(N) seeds, and the last eigen seed solved dense and the
+# first solved by scipy's tridiagonal solver (499 and 500 rows at alpha 6)
 RULES = ([(a, N, k) for a, N in ((0.0, 120), (1.5, 300)) for k in (_G, _R)]
          + [(0.0, 999, _G), (0.0, 2048, _G), (0.0, 999, _R),
             (0.7015463661686019, 999, _G), (0.0, 2050, _G),
             (0.0, 498, _G), (0.0, 499, _G), (0.0, 499, _R), (0.0, 500, _R),
-            (5.000000000000001, 999, _G)])
+            (5.000000000000001, 999, _G), (6.0, 498, _G), (6.0, 499, _G)])
 
 # the kernel at its edges: zero, subnormal, tiny, moderate and huge x
 KERNEL_X = [0.0, 5e-324, 1e-300, 0.5, 2.0, 1e4, 1e30, 1e150, 1e200, 1.7e308]
