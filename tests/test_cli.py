@@ -201,6 +201,20 @@ class TestSolveAndSweep:
                 assert c["error"] is None and c["l2_error"] is not None
         assert json.loads(out)["argmin_beta"] == {"8": 2.0}
 
+    def test_solve_with_one_basis_function(self, capsys):
+        code, out = _run(capsys, "solve", "--case", "u3", "--n", "1")
+        assert code == 0
+        assert 0 < float(_rows(out)[0]["l2_error"]) < 1
+
+    def test_sweep_over_one_and_two_basis_functions(self, capsys):
+        code, out = _run(capsys, "sweep", "--case", "u3", "--n-list", "1,2",
+                         "--beta-list", "0.5,1,2")
+        assert code == 0
+        rows = _rows(out)
+        assert len(rows) == 6
+        assert all(r["error"] == "" and float(r["l2_error"]) > 0
+                   for r in rows)
+
     def test_sweep_csv(self, capsys):
         code, out = _run(capsys, "sweep", "--case", "u2",
                          "--n-list", "16", "--beta-list", "1.0")
@@ -315,6 +329,12 @@ class TestExitCodes:
         code = main(argv)
         assert code == USAGE_ERROR
         assert "must be finite" in capsys.readouterr().err
+
+    def test_usage_error_from_diagonal_past_the_double_range(self, capsys):
+        # gamma / beta^2 = 1e308 is a double, 0.5 + 2 gamma / beta^2 is not
+        code = main(["solve", "--case", "u1", "--n", "8", "--gamma", "1e308"])
+        assert code == USAGE_ERROR
+        assert "gamma_eff" in capsys.readouterr().err
 
     def test_usage_error_from_parser(self, capsys):
         code = main(["quad"])  # missing required --n

@@ -2,12 +2,13 @@
 
 import dataclasses
 import math
+import random
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import solveh_banded
+from scipy.linalg import LinAlgError, solveh_banded
 
 from lagspec import spectral
 from lagspec.problems import make_case
@@ -167,6 +168,14 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble_system(4, 0.0)
 
+    @pytest.mark.parametrize("gamma_eff", [1e308, math.inf, math.nan])
+    def test_diagonal_must_be_finite(self, gamma_eff):
+        # 0.5 + 2 gamma_eff overflows from gamma_eff = 2^1023 on
+        with pytest.raises(ValueError, match="gamma_eff"):
+            assemble_system(4, gamma_eff)
+        below = np.nextafter(2.0 ** 1023, 0.0)
+        assert np.isfinite(assemble_system(4, below)[0]).all()
+
 
 class TestRhsAndSolve:
     def test_zero_forcing_gives_zero_vector(self):
@@ -285,6 +294,89 @@ class TestRhsAndSolve:
         for at in (sol.evaluate, sol.evaluate_deriv):
             with pytest.raises(ValueError, match=f"got {shown}$"):
                 at(x)
+
+
+def _banded(diag, off, b):
+    """scipy's solve of the system ``(diag, off) x = b``: the reference."""
+    ab = np.zeros((2, len(diag)))
+    ab[0, 1:], ab[1] = off, diag
+    return solveh_banded(ab, b)
+
+
+# the benchmark's ``sweep`` grid: u1 and u3 over N in {64, 128, 256, 512},
+# u3's betas as given and with the jitter of its seed 1
+_U3_BETAS = [0.25, 0.5, 1.0, 2.0, 4.0]
+_jitter = random.Random(1)
+_SWEEP_GRID = [("u1", [1.0, 2.0, 4.47, 8.0, 16.0]), ("u3", _U3_BETAS),
+               ("u3", [b * _jitter.uniform(0.9, 1.1) for b in _U3_BETAS])]
+
+
+class TestTridiagonalSolve:
+    """The solve is LAPACK dptsv's arithmetic in Python floats: every bit
+    of ``scipy.linalg.solveh_banded``, and dpttrf's failing row."""
+
+    # N covers every remainder of dpttrf's unroll by 4
+    @pytest.mark.parametrize("gamma_eff", [1e-300, 1e-8, 2 / 256, 0.1, 0.25,
+                                           0.3, 2.0, 1e10, 1e300])
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 9, 64, 512, 1024, 4096])
+    def test_bitwise_solveh_banded(self, N, gamma_eff):
+        rng = np.random.default_rng(N)
+        diag, off = assemble_system(N, gamma_eff)
+        # entries over +-300 decades, so that some solutions go subnormal
+        wide = rng.standard_normal(N) * 10.0 ** rng.uniform(-300, 300, N)
+        for b in (np.ones(N), rng.standard_normal(N), wide):
+            x = spectral._tridiagonal_solve(diag, off, b)
+            assert x.tobytes() == _banded(diag, off, b).tobytes()
+
+    @pytest.mark.parametrize("name, betas", _SWEEP_GRID)
+    def test_bitwise_on_the_benchmark_sweep_grid(self, name, betas):
+        problem = make_case(name).problem
+        for N in (64, 128, 256, 512):
+            for beta in betas:
+                b = project_rhs(problem, N, 2 * N, beta)
+                diag, off = assemble_system(N, problem.gamma / beta ** 2)
+                x = spectral._tridiagonal_solve(diag, off, b)
+                assert x.tobytes() == _banded(diag, off, b).tobytes()
+
+    @pytest.mark.parametrize("diag, off", [
+        ([-1.0, 2.0, 2.0], [0.5, 0.5]),
+        ([1.0, 0.0, 1.0], [0.0, 0.0]),  # an exact zero pivot
+        ([1.0] * 4 + [-1.0], [0.0] * 4),  # the last row
+        *[([1.0] * 12, [c] * 11) for c in (0.55, 0.6, 0.8, 1.5)]])
+    def test_not_positive_definite_fails_at_lapacks_row(self, diag, off):
+        diag, off, b = np.array(diag), np.array(off), np.ones(len(diag))
+        with pytest.raises(LinAlgError) as ref:
+            _banded(diag, off, b)
+        row = int(str(ref.value).split("th ")[0])
+        with pytest.raises(ArithmeticError,
+                           match=f"^Galerkin matrix row {row}: pivot"):
+            spectral._tridiagonal_solve(diag, off, b)
+
+    def test_one_row(self):
+        # x = b / d, not dptts2's b * (1 / d), which differs here
+        x = spectral._tridiagonal_solve(np.array([7.0]), np.array([]),
+                                        np.array([0.1]))
+        assert x.tolist() == [0.1 / 7.0] != [0.1 * (1 / 7.0)]
+        with pytest.raises(ArithmeticError, match="row 1: pivot -3.0"):
+            spectral._tridiagonal_solve(np.array([-3.0]), np.array([]),
+                                        np.array([1.0]))
+
+    def test_solve_with_one_basis_function(self):
+        problem = make_case("u3").problem
+        sol = solve(problem, 1, None, 1.0)
+        b = project_rhs(problem, 1, 2, 1.0)
+        assert sol.coeffs.tolist() == [b[0] / assemble_system(1, 2.0)[0][0]]
+        assert sol.coeffs[0] == pytest.approx(0.08023805, abs=5e-9)
+        cells = beta_sweep(problem, [1, 2], [0.5, 1.0])
+        assert all(c["error"] is None and c["l2_error"] > 0 for c in cells)
+
+    def test_overflowing_load_vector_is_a_numeric_failure(self):
+        # f = 1e308 is finite; its projection at N = 8 is not
+        prob = ModelProblem(gamma=1.0, f=lambda x: np.full_like(x, 1e308))
+        for call in (project_rhs, solve):
+            with np.errstate(all="ignore"), \
+                    pytest.raises(ArithmeticError, match="load vector"):
+                call(prob, 8, 16, 1.0)
 
 
 class TestErrorNorms:

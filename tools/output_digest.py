@@ -7,7 +7,9 @@ output below, so "bitwise unchanged" is one command on each side:
 
 The outputs are ``beta_sweep`` cells of the three model cases and of the
 benchmark's ``sweep`` grid (one output per case and N), ``solve``
-coefficients with ``error_norms`` (quadrature check on), the solution's
+coefficients of each case at N = 2 to 5 (one per remainder of LAPACK
+dpttrf's unroll by 4) and, with ``error_norms`` (quadrature check on), at
+one larger N, the solution's
 value and derivative, ``project_rhs``, Gauss and Radau rules at two
 (alpha, N), the rules of the benchmark's ``rules`` workload, the Gauss
 rule at N=2050, rules on both sides of the seed crossover and just
@@ -109,6 +111,10 @@ def outputs():
         for N in BENCH_SWEEP_NS:
             yield f"bench sweep {name} N={N}", _cells(
                 c for c in cells if c["N"] == N)
+    for name, prob in CASES.items():
+        for N in (2, 3, 4, 5):
+            yield f"solve {name} N={N}", spectral.solve(
+                prob, N, None, 1.0).coeffs.tobytes()
     for name, N, beta in (("u1", 32, 1.5), ("u2", 96, 0.6), ("u3", 48, 2.0)):
         sol = spectral.solve(CASES[name], N, None, beta)
         rep = spectral.error_norms(sol, check_quadrature=True)
