@@ -4,10 +4,10 @@ Nodes are seeded and polished by Newton iterations driven by the stable
 function evaluation; a table keeps every abscissa evaluated, small passes
 are padded with neighbouring doubles, and the Gauss weights reuse the
 table's L_N.  Seeds are the eigenvalues of the tridiagonal recurrence
-matrix below 500 points or for alpha outside [0, 5], and O(N) asymptotic
-forms otherwise (``_seeds``).  Eigensolves below 500 rows run dense in
-numpy's LAPACK (O(N^3), 17 ms at 499 rows, scipy's bits); only larger ones
-import scipy.linalg: eigen seeds of 500+ points, trailing blocks at 21,434+.
+matrix below 500 points or for alpha < 0, and O(N) asymptotic forms
+otherwise (``_seeds``).  Eigensolves below 500 rows run dense in numpy's
+LAPACK (O(N^3), 17 ms at 499 rows, scipy's bits); only larger ones import
+scipy.linalg: eigen seeds of 500+ points, trailing blocks at 21,434+.
 Weights come from the closed forms with all Gamma ratios kept in log space
 and the squared basis value in function form, so rules with thousands of
 points neither overflow nor lose their weights to premature underflow.
@@ -45,14 +45,13 @@ _NEWTON_REL_STEP_TOL = 4.0 * _EPS
 # 1000 points (medians of 31, one thread of a 2-vCPU AVX-512 Xeon), so
 # points below this ride almost free
 _NEWTON_PAD_POINTS = 256
-# Rules of this many points or more with alpha in this range get O(N)
-# seeds: 1.5 ms at 500 points against the eigen seed's 4.7 ms and a Newton
-# pass's 2.0 ms (medians of 31, one thread of a 2-vCPU AVX-512 Xeon), and
-# smaller eigensolves run dense.  Below alpha = 0 the smallest nodes keep up
-# to 81 ulps of their seed (-0.4, N = 2050); the seed error is 3.8e-10 at 5,
-# 6e-9 at 10.
+# Rules of this many points or more with alpha >= 0 get O(N) seeds: 1.5 ms
+# at 500 points against the eigen seed's 4.7 ms and a Newton pass's 2.0 ms
+# (medians of 31, one thread of a 2-vCPU AVX-512 Xeon), and smaller
+# eigensolves run dense.  Below alpha = 0 the smallest nodes keep up to 81
+# ulps of their seed (-0.4, N = 2050).  Relative seed errors (500 to 4099
+# points) peak at 3.8e-10 to alpha 5, 1.3e-9 at 7, 1.1e-7 at 20, 2.5e-5 at 50.
 _FAST_SEED_POINTS = 500
-_FAST_SEED_ALPHA = (0.0, 5.0)
 
 
 class RuleKind(str, Enum):
@@ -140,8 +139,7 @@ def _seeds(alpha: float, N: int) -> np.ndarray:
     169-184) for k <= 24 and McMahon's expansion (DLMF 10.21.19) above; the
     top 20 zeros from a trailing block of the recurrence matrix."""
     LagParams(alpha=alpha, n=N)  # the check of (alpha, N)
-    lo, hi = _FAST_SEED_ALPHA
-    if N + 1 < _FAST_SEED_POINTS or not lo <= alpha <= hi:
+    if N + 1 < _FAST_SEED_POINTS or alpha < 0:
         return nodes_eigen_seed(alpha, N)
     a = alpha + 2.0 * np.arange(1, 97)
     ev = _tridiagonal_eigvals(0.5 / ((a - 1.0) * (a + 1.0)), 0.25 / (
@@ -245,15 +243,14 @@ def gauss_rule(alpha: float, N: int) -> GaussRule:
     assembled as ``exp(log-ratio + log x_j - x_j - 2 log|Lhat_N(x_j)|)``
     with the function value ``Lhat_N = exp(-x/2) L_N`` which stays O(1) at
     the nodes for any N.  ``Lhat_N`` comes from Newton's table (final nodes
-    it never evaluated get a degree-(N+1) pass of their own for N >= 2).
-    Seeds: eigenvalues below 500 points or alpha outside [0, 5], else O(N).
+    it never evaluated get a degree-N pass of their own).  Seeds:
+    eigenvalues below 500 points or for alpha < 0, else O(N).
     """
     nodes, lhat = _newton(alpha, N, _seeds(alpha, N))
     miss = np.isnan(lhat)
     if miss.any():
-        lhat[miss] = (_value_deriv_prev(alpha, N + 1, nodes[miss])[2] if N > 1
-                      else fun_value_deriv_stable(LagParams(alpha=alpha, n=N),
-                                                  nodes[miss])[0])
+        lhat[miss] = fun_value_deriv_stable(LagParams(alpha=alpha, n=N),
+                                            nodes[miss])[0]
     log_ratio = (math.lgamma(N + alpha + 1.0) - math.log(N + alpha + 1.0)
                  - math.lgamma(N + 2.0))
     log_fun_w = log_ratio + np.log(nodes) - 2.0 * np.log(np.abs(lhat))
@@ -276,7 +273,7 @@ def gauss_radau_rule(alpha: float, N: int) -> GaussRule:
     The interior nodes are the zeros of the derivative of the
     degree-(N+1) polynomial, which coincide with the degree-N Gauss nodes
     of the (alpha+1) family, and are seeded as those: O(N) seeds from
-    N = 500 on for alpha <= 4, the eigenvalues otherwise.
+    N = 500 on (that family's alpha is positive), the eigenvalues below.
     """
     params = LagParams(alpha=alpha, n=N)
     if N < 1:

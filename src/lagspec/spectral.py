@@ -192,8 +192,9 @@ def project_rhs(problem: ModelProblem, N: int, M: int, beta: float
         j = int(np.flatnonzero(~np.isfinite(g))[0])
         raise ArithmeticError(
             f"right-hand side non-finite at node x = {rb.y[j] / beta}")
-    t = rb.lhat @ (g * rb.w)  # (g/beta^2, psi_n) = (t_n - t_{n+1}) / beta^2
-    b = (t[:-1] - t[1:]) / beta ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        t = rb.lhat @ (g * rb.w)  # (g/beta^2, psi_n) = (t_n - t_{n+1})/beta^2
+        b = (t[:-1] - t[1:]) / beta ** 2
     if not np.all(np.isfinite(b)):
         raise ArithmeticError("load vector non-finite: f overflows it")
     return b

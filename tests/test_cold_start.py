@@ -1,6 +1,6 @@
 """What a fresh process imports: rules, the Galerkin solver and every CLI
-command below run without ``scipy.linalg``; an eigen seed of 500+ rows
-loads it."""
+command below run without ``scipy.linalg``; an eigen seed of 500+ rows,
+which only alpha < 0 takes, loads it."""
 
 import subprocess
 import sys
@@ -16,6 +16,8 @@ from lagspec import cli, quadrature, spectral, problems
 for points in (16, 256, 1000, 2049):
     quadrature.gauss_rule(0.0, points - 1)
     quadrature.gauss_radau_rule(0.0, points - 1)
+quadrature.gauss_rule(6.0, 499)  # 500 points
+quadrature.gauss_radau_rule(6.0, 500)  # 500 interior points
 problem = problems.make_case("u3").problem
 spectral.error_norms(spectral.solve(problem, 8, None, 1.0))
 spectral.beta_sweep(problem, [1, 2, 16], [0.5, 2.0])
@@ -28,7 +30,7 @@ for argv in (["quad", "--n", "40"], ["eval", "--n", "200", "--x", "150"],
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
 print("scipy.linalg" in sys.modules)
-quadrature.gauss_rule(6.0, 499)  # its eigen seed has 500 rows
+quadrature.gauss_rule(-0.5, 499)  # its eigen seed has 500 rows
 print("scipy.linalg" in sys.modules)
 """
 

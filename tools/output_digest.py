@@ -12,8 +12,8 @@ dpttrf's unroll by 4) and, with ``error_norms`` (quadrature check on), at
 one larger N, the solution's
 value and derivative, ``project_rhs``, Gauss and Radau rules at two
 (alpha, N), the rules of the benchmark's ``rules`` workload, the Gauss
-rule at N=2050, rules on both sides of the seed crossover and just
-outside the alpha range of the O(N) seeds, eigen seeds on both sides of
+rule at N=2050, rules on both sides of the seed crossover at alpha 0 and
+6, a 1000-point rule just above alpha 5, eigen seeds on both sides of
 the dense eigensolve's crossover, the N=1024 solve of acceptance
 criterion 6 and its derivative evaluated at the 4099 nodes of its norm
 rule, the stable kernel's series and value/derivative (array and scalar) at
@@ -49,14 +49,17 @@ _G, _R = quadrature.RuleKind.GAUSS, quadrature.RuleKind.GAUSS_RADAU
 # (alpha, N, kind): two small pairs in both kinds, the four rules of the
 # benchmark's ``rules`` workload (seed 1), N=2050, the last eigen-seeded
 # and first O(N)-seeded rule of each kind (499 and 500 points; Radau seeds
-# its N interior nodes), a 1000-point rule at the double just above the
-# largest alpha with O(N) seeds, and the last eigen seed solved dense and the
-# first solved by scipy's tridiagonal solver (499 and 500 rows at alpha 6)
+# its N interior nodes), an O(N)-seeded 1000-point rule at the double just
+# above alpha 5, the last eigen-seeded and first O(N)-seeded Gauss rule at
+# alpha 6 (499 and 500 points), and the last eigen seed solved dense and the
+# first solved by scipy's tridiagonal solver (499 and 500 rows at alpha
+# -0.5, below the O(N) seeds' alpha >= 0)
 RULES = ([(a, N, k) for a, N in ((0.0, 120), (1.5, 300)) for k in (_G, _R)]
          + [(0.0, 999, _G), (0.0, 2048, _G), (0.0, 999, _R),
             (0.7015463661686019, 999, _G), (0.0, 2050, _G),
             (0.0, 498, _G), (0.0, 499, _G), (0.0, 499, _R), (0.0, 500, _R),
-            (5.000000000000001, 999, _G), (6.0, 498, _G), (6.0, 499, _G)])
+            (5.000000000000001, 999, _G), (6.0, 498, _G), (6.0, 499, _G),
+            (-0.5, 498, _G), (-0.5, 499, _G)])
 
 # the kernel at its edges: zero, subnormal, tiny, moderate and huge x
 KERNEL_X = [0.0, 5e-324, 1e-300, 0.5, 2.0, 1e4, 1e30, 1e150, 1e200, 1.7e308]
