@@ -1,16 +1,16 @@
 """Laguerre-Gauss and Laguerre-Gauss-Radau quadrature rules.
 
 Nodes are seeded and polished by Newton iterations driven by the stable
-function evaluation; a table keeps every abscissa evaluated, small passes
-are padded with neighbouring doubles, and the Gauss weights reuse the
-table's L_N.  Seeds are the eigenvalues of the tridiagonal recurrence
-matrix below 500 points or for alpha < 0, and O(N) asymptotic forms
-otherwise (``_seeds``).  Eigensolves below 500 rows run dense in numpy's
-LAPACK (O(N^3), 17 ms at 499 rows, scipy's bits); only larger ones import
-scipy.linalg: eigen seeds of 500+ points, trailing blocks at 21,434+.
-Weights come from the closed forms with all Gamma ratios kept in log space
-and the squared basis value in function form, so rules with thousands of
-points neither overflow nor lose their weights to premature underflow.
+function evaluation; a table keeps every abscissa evaluated, final nodes
+included, pads small passes with neighbouring doubles and gives both kinds
+of rule their weights' L_N.  Seeds are the eigenvalues of the tridiagonal
+recurrence matrix below 500 points or for alpha < 0, and O(N) asymptotic
+forms otherwise (``_seeds``).  Eigensolves below 500 rows run dense in
+numpy's LAPACK (O(N^3), 17 ms at 499 rows, scipy's bits); only larger ones
+import scipy.linalg: eigen seeds of 500+ points, trailing blocks at
+21,434+.  Weights come from closed forms with all Gamma ratios kept in log
+space and the squared basis value in function form, so rules with thousands
+of points neither overflow nor lose their weights to premature underflow.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .recurrence import LagParams, _value_deriv_prev, fun_value_deriv_stable
+from .recurrence import LagParams, _value_deriv_prev
 
 __all__ = [
     "RuleKind",
@@ -108,9 +108,7 @@ def nodes_eigen_seed(alpha: float, N: int) -> np.ndarray:
     its ascending eigenvalues.
     """
     LagParams(alpha=alpha, n=N)  # the check of (alpha, N)
-    j = np.arange(N + 1, dtype=float)
-    diag = 2.0 * j + alpha + 1.0
-    ev = _tridiagonal_eigvals(diag, -np.sqrt(j[1:] * (j[1:] + alpha)))
+    ev = _jacobi_eigvals(alpha, 0, N + 1)
     if np.any(np.diff(ev) <= 0):
         raise ArithmeticError("eigenvalues are not strictly increasing")
     return ev
@@ -129,6 +127,13 @@ def _tridiagonal_eigvals(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
         return eigvalsh_tridiagonal(diag, off)
     except Exception as exc:
         raise ArithmeticError(f"tridiagonal eigensolver failed: {exc}") from exc
+
+
+def _jacobi_eigvals(alpha: float, start: int, stop: int) -> np.ndarray:
+    """Ascending eigenvalues of rows start .. stop-1 of the Jacobi matrix."""
+    k = np.arange(start, stop, dtype=float)
+    return _tridiagonal_eigvals(2.0 * k + alpha + 1.0,
+                                -np.sqrt(k[1:] * (k[1:] + alpha)))
 
 
 def _seeds(alpha: float, N: int) -> np.ndarray:
@@ -160,9 +165,8 @@ def _seeds(alpha: float, N: int) -> np.ndarray:
     x = nu * np.sin(0.5 * e) ** 2 + ((mu - 1.0) * np.tan(0.5 * e) / t - (
         1.25 / c - 1.0) / (3.0 * c) + 1.0 / 3.0 - alpha * alpha) / nu
     # the top 20 eigenvectors live in the last 18 (N+1)^(1/3) rows
-    k = np.arange(N + 1 - int(18.0 * np.cbrt(N + 1.0)), N + 1, dtype=float)
-    return np.concatenate((x, _tridiagonal_eigvals(
-        2.0 * k + alpha + 1.0, -np.sqrt(k[1:] * (k[1:] + alpha)))[-20:]))
+    return np.concatenate((x, _jacobi_eigvals(
+        alpha, N + 1 - int(18.0 * np.cbrt(N + 1.0)), N + 1)[-20:]))
 
 
 def refine_newton(alpha: float, N: int, seeds: np.ndarray) -> np.ndarray:
@@ -179,18 +183,19 @@ def refine_newton(alpha: float, N: int, seeds: np.ndarray) -> np.ndarray:
     A step is a pointwise, deterministic map (the recurrence rescales by
     exact powers of two and finalizes through frexp), so each abscissa
     evaluated goes into a table with its next iterate, step test and
-    ``exp(-x/2) L_N``, and is never evaluated again: a cycle between
-    neighbouring doubles costs nothing once it is in the table.  A pass
-    after the first also evaluates the doubles within m ulps of its
-    abscissae, where later iterates land, for the largest m >= 1 that keeps
-    it within ``_NEWTON_PAD_POINTS``.  Neither changes a bit of the result.
+    ``exp(-x/2)`` times L_{N+1} and L_N, and is never evaluated again: a
+    cycle between neighbouring doubles costs nothing once in the table.  A
+    last pass evaluates the final nodes it lacks; the passes in between also
+    evaluate the doubles within m ulps of their abscissae, where later
+    iterates land, for the largest m >= 1 that keeps each within
+    ``_NEWTON_PAD_POINTS``.  Neither changes a bit of the result.
     """
     return _newton(alpha, N, seeds)[0]
 
 
 def _newton(alpha: float, N: int, seeds: np.ndarray):
-    """``refine_newton``'s nodes, and ``exp(-x/2) L_N`` at each from its
-    table (NaN where Newton did not evaluate the node, and for N <= 1)."""
+    """``refine_newton``'s nodes and ``exp(-x/2)`` times L_{N+1} and L_N at
+    each, from its table."""
     seeds = np.asarray(seeds, dtype=float)
     if not (seeds.ndim == 1 and seeds.size and np.all(np.isfinite(seeds))
             and np.all(seeds > 0) and np.all(np.diff(seeds) > 0)):
@@ -201,37 +206,72 @@ def _newton(alpha: float, N: int, seeds: np.ndarray):
                            [seeds[-1] * 2.0 + 1.0]))
 
     # one column per abscissa evaluated, sorted by it: the abscissa, its
-    # next iterate, its step test (1.0 passed) and exp(-x/2) L_N
-    tab, x = np.empty((4, 0)), seeds
-    for k in range(_NEWTON_MAX_ITERS):
+    # next iterate, its step test (1.0 passed), exp(-x/2) L_{N+1} and L_N
+    tab, x, last = np.empty((5, 0)), seeds, False
+    for k in range(_NEWTON_MAX_ITERS + 1):
         pts = np.unique(x[~np.isin(x, tab[0])])
         if pts.size:
             j = np.argmin((x >= 0) & (x < np.inf))  # a non-abscissa first
             if not 0 <= x[j] < np.inf:
                 raise ArithmeticError(f"Newton iterate {k}, node {j}: {x[j]}")
             m = (_NEWTON_PAD_POINTS // pts.size - 1) // 2  # ulps per side
-            if k and m > 0:
+            if k and m > 0 and not last:
                 near = pts + np.arange(-m, m + 1)[:, None] * np.spacing(pts)
                 pts = np.setdiff1d(np.maximum(near, 0.0), tab[0])
-            val, der, lhat = _value_deriv_prev(alpha, N + 1, pts)
+            val, der, prev = _value_deriv_prev(alpha, N + 1, pts)
             # L / L' = Lhat / (Lhat' + Lhat / 2): the exp(-x/2) scale cancels
             step = val / (der + 0.5 * val)
             tab = np.concatenate((tab, [
                 pts, pts - step, np.abs(step) <= _NEWTON_REL_STEP_TOL * pts,
-                np.full_like(pts, np.nan) if lhat is None else lhat]), axis=1)
+                val, prev]), axis=1)
             tab = tab[:, np.argsort(tab[0])]
         i = np.searchsorted(tab[0], x)
-        x = tab[1, i]
-        if tab[2, i].all():
-            break
-    escaped = (x <= ends[:-1]) | (x >= ends[1:])
-    if np.any(escaped):
-        warnings.warn(f"Newton refinement escaped bracket at indices "
-                      f"{np.flatnonzero(escaped).tolist()}; falling back to "
-                      f"seeds", RuntimeWarning)
-        x[escaped] = seeds[escaped]
-    i = np.minimum(np.searchsorted(tab[0], x), tab.shape[1] - 1)
-    return x, np.where(tab[0, i] == x, tab[3, i], np.nan)
+        if last:
+            return x, tab[3, i], tab[4, i]
+        x, last = tab[1, i], tab[2, i].all() or k + 1 == _NEWTON_MAX_ITERS
+        escaped = (x <= ends[:-1]) | (x >= ends[1:])
+        if last and np.any(escaped):
+            warnings.warn(f"Newton refinement escaped bracket at indices "
+                          f"{np.flatnonzero(escaped).tolist()}; falling back "
+                          f"to seeds", RuntimeWarning)
+            x[escaped] = seeds[escaped]
+
+
+def _rule(alpha: float, N: int, kind: RuleKind) -> GaussRule:
+    """Either kind of rule: ``_seeds``, ``_newton`` and the closed form of
+    its weights, with exp(-x/2) L_N from Newton's last pass."""
+    LagParams(alpha=alpha, n=N)  # the check of (alpha, N)
+    radau = kind is RuleKind.GAUSS_RADAU
+    if radau and N < 1:
+        raise ValueError("Gauss-Radau rule needs N >= 1")
+    a = alpha + 1.0 if radau else alpha  # Radau's interior family
+    nodes, val, prev = _newton(a, N - radau, _seeds(a, N - radau))
+    if radau:
+        try:
+            w0 = math.exp(math.log(alpha + 1.0) + 2.0 * math.lgamma(
+                alpha + 1.0) + math.lgamma(N + 1.0)
+                - math.lgamma(N + alpha + 2.0))
+        except OverflowError:
+            raise ArithmeticError("Gauss-Radau weight w0 at the origin leaves "
+                                  "the double range") from None
+        # L^(alpha)_N = L^(alpha+1)_N - L^(alpha+1)_{N-1} (DLMF 18.9)
+        log_fun_w = (math.lgamma(N + alpha + 1.0) - math.lgamma(N + 1.0)
+                     - math.log(N + alpha + 1.0)
+                     - 2.0 * np.log(np.abs(val - prev)))
+    else:
+        log_fun_w = (math.lgamma(N + alpha + 1.0) - math.log(N + alpha + 1.0)
+                     - math.lgamma(N + 2.0) + np.log(nodes)
+                     - 2.0 * np.log(np.abs(prev)))
+    fun_w = np.exp(log_fun_w)
+    if not np.all((fun_w > 0) & (fun_w < np.inf)):
+        raise ArithmeticError(f"{'Gauss-Radau' if radau else 'Gauss'} rule "
+                              f"weights leave the double range")
+    w = np.exp(log_fun_w - nodes)  # only these may underflow
+    if radau:
+        nodes, w, fun_w = (np.concatenate(([v0], v)) for v0, v in (
+            (0.0, nodes), (w0, w), (w0, fun_w)))
+    return GaussRule(alpha=alpha, kind=kind, nodes=nodes, weights=w,
+                     fun_weights=fun_w)
 
 
 def gauss_rule(alpha: float, N: int) -> GaussRule:
@@ -242,29 +282,9 @@ def gauss_rule(alpha: float, N: int) -> GaussRule:
 
     assembled as ``exp(log-ratio + log x_j - x_j - 2 log|Lhat_N(x_j)|)``
     with the function value ``Lhat_N = exp(-x/2) L_N`` which stays O(1) at
-    the nodes for any N.  ``Lhat_N`` comes from Newton's table (final nodes
-    it never evaluated get a degree-N pass of their own).  Seeds:
-    eigenvalues below 500 points or for alpha < 0, else O(N).
+    the nodes for any N, from Newton's pass at each final node.
     """
-    nodes, lhat = _newton(alpha, N, _seeds(alpha, N))
-    miss = np.isnan(lhat)
-    if miss.any():
-        lhat[miss] = fun_value_deriv_stable(LagParams(alpha=alpha, n=N),
-                                            nodes[miss])[0]
-    log_ratio = (math.lgamma(N + alpha + 1.0) - math.log(N + alpha + 1.0)
-                 - math.lgamma(N + 2.0))
-    log_fun_w = log_ratio + np.log(nodes) - 2.0 * np.log(np.abs(lhat))
-    fun_weights, weights = _weights(log_fun_w, nodes, "Gauss")
-    return GaussRule(alpha=alpha, kind=RuleKind.GAUSS, nodes=nodes,
-                     weights=weights, fun_weights=fun_weights)
-
-
-def _weights(log_fun_w: np.ndarray, nodes: np.ndarray, rule: str):
-    """Function and polynomial weights (only the latter may underflow)."""
-    fun_w = np.exp(log_fun_w)
-    if not np.all((fun_w > 0) & (fun_w < np.inf)):
-        raise ArithmeticError(f"{rule} rule weights leave the double range")
-    return fun_w, np.exp(log_fun_w - nodes)
+    return _rule(alpha, N, RuleKind.GAUSS)
 
 
 def gauss_radau_rule(alpha: float, N: int) -> GaussRule:
@@ -272,36 +292,15 @@ def gauss_radau_rule(alpha: float, N: int) -> GaussRule:
 
     The interior nodes are the zeros of the derivative of the
     degree-(N+1) polynomial, which coincide with the degree-N Gauss nodes
-    of the (alpha+1) family, and are seeded as those: O(N) seeds from
-    N = 500 on (that family's alpha is positive), the eigenvalues below.
+    of the (alpha+1) family, and are found as those.  Their weights
+    ``Gamma(N+alpha+1) / ((N+alpha+1) N! L_N(x_j)^2)`` take ``Lhat_N`` as
+    that family's degree-N minus degree-(N-1) value from Newton's pass.
     """
-    params = LagParams(alpha=alpha, n=N)
-    if N < 1:
-        raise ValueError("Gauss-Radau rule needs N >= 1")
-    interior = refine_newton(alpha + 1.0, N - 1, _seeds(alpha + 1.0, N - 1))
-    nodes = np.concatenate(([0.0], interior))
-
-    try:
-        w0 = math.exp(math.log(alpha + 1.0) + 2.0 * math.lgamma(alpha + 1.0)
-                      + math.lgamma(N + 1.0) - math.lgamma(N + alpha + 2.0))
-    except OverflowError:
-        raise ArithmeticError("Gauss-Radau weight w0 at the origin leaves "
-                              "the double range") from None
-    lhat, _ = fun_value_deriv_stable(params, interior)
-    log_ratio = (math.lgamma(N + alpha + 1.0) - math.lgamma(N + 1.0)
-                 - math.log(N + alpha + 1.0))
-    log_fun_w = log_ratio - 2.0 * np.log(np.abs(lhat))
-    fun_w, w = _weights(log_fun_w, interior, "Gauss-Radau")
-    return GaussRule(alpha=alpha, kind=RuleKind.GAUSS_RADAU, nodes=nodes,
-                     weights=np.concatenate(([w0], w)),
-                     fun_weights=np.concatenate(([w0], fun_w)))
+    return _rule(alpha, N, RuleKind.GAUSS_RADAU)
 
 
 @functools.lru_cache(maxsize=64)
 def cached_gauss_rule(alpha: float, N: int,
                       kind: RuleKind | str = RuleKind.GAUSS) -> GaussRule:
     """Memoized rule constructor; rules are immutable and shareable."""
-    if RuleKind(kind) is RuleKind.GAUSS:  # "gauss" shares the member's key
-        return gauss_rule(alpha, N)
-    return gauss_radau_rule(alpha, N)
-
+    return _rule(alpha, N, RuleKind(kind))  # "gauss" shares the member's key

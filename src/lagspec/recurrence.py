@@ -315,18 +315,19 @@ def fun_value_deriv_stable(params: LagParams, x):
 
 
 def _value_deriv_prev(alpha: float, n: int, xs: np.ndarray):
-    """``fun_value_deriv_stable`` at 1-D ``xs`` and ``exp(-x/2) L_{n-1}``
-    from the same pass; ``None`` for n <= 2 (degree 1 is a closed form)."""
+    """``fun_value_deriv_stable`` at 1-D ``xs`` and ``exp(-x/2) L_{n-1}``,
+    bitwise the degree-(n-1) value (0 for n = 0)."""
     if n <= 1:
         w = np.exp(-xs / 2.0)
         val = w if n == 0 else (1.0 + alpha - xs) * w
         der = -0.5 * w if n == 0 else -(alpha + 3.0 - xs) / 2.0 * w
-        return val, der, None
+        return val, der, 0.0 * w if n == 0 else w
     # one abscissa runs as two copies: 9.1 vs 4.8 ms at degree 1000
     val, part, prev = (v[:xs.size] for v in _rescaled_recurrence(
         alpha, n, np.repeat(xs, 2) if xs.size == 1 else xs))
     # exp(-x/2) L_n' = -part; the prefactor's product rule adds -val/2
-    return val, -part - 0.5 * val, prev if n >= 3 else None
+    return val, -part - 0.5 * val, prev if n >= 3 else _value_deriv_prev(
+        alpha, 1, xs)[0]  # degree 1 is a closed form
 
 
 def eval_fun_derivative(params: LagParams, x) -> np.ndarray:

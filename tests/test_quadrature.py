@@ -8,9 +8,10 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 from scipy.special import roots_genlaguerre, roots_laguerre
 
-from lagspec import quadrature, recurrence
+from lagspec import oracle, quadrature, recurrence
 from lagspec.quadrature import (
     GaussRule,
     RuleKind,
@@ -44,19 +45,22 @@ def _plain_newton(alpha, N, seeds):
 
 
 def _plain_rule(alpha, N, kind):
-    """Nodes, weights and function weights from ``_plain_newton`` and a
-    degree-N weight pass of their own, the bytes a rule must match."""
+    """Nodes, weights and function weights from ``_plain_newton`` and one
+    plain weight pass at its nodes, the bytes a rule must match."""
     # Radau's interior nodes are the (alpha+1, N-1) Gauss nodes
     radau = kind is RuleKind.GAUSS_RADAU
     x = _plain_newton(alpha + radau, N - radau,
                       quadrature._seeds(alpha + radau, N - radau))
-    lhat, _ = fun_value_deriv_stable(LagParams(alpha=alpha, n=N), x)
     if kind is RuleKind.GAUSS:
+        lhat, _ = fun_value_deriv_stable(LagParams(alpha=alpha, n=N), x)
         log_fun_w = (math.lgamma(N + alpha + 1.0) - math.log(N + alpha + 1.0)
                      - math.lgamma(N + 2.0) + np.log(x)
                      - 2.0 * np.log(np.abs(lhat)))
         return b"".join(v.tobytes() for v in (
             x, np.exp(log_fun_w - x), np.exp(log_fun_w)))
+    # L^(alpha)_N = L^(alpha+1)_N - L^(alpha+1)_{N-1} from one plain pass
+    val, _, prev = recurrence._value_deriv_prev(alpha + 1.0, N, x)
+    lhat = val - prev
     w0 = math.exp(math.log(alpha + 1.0) + 2.0 * math.lgamma(alpha + 1.0)
                   + math.lgamma(N + 1.0) - math.lgamma(N + alpha + 2.0))
     log_fun_w = (math.lgamma(N + alpha + 1.0) - math.lgamma(N + 1.0)
@@ -80,13 +84,13 @@ def _assert_matches_plain(alpha, N):
 
 @pytest.fixture
 def kernel_passes(monkeypatch):
-    """``(degree, points)`` of each rescaled-kernel pass while the test
-    runs; Newton and every stable view run through this name."""
+    """``(alpha, degree, points)`` of each rescaled-kernel pass while the
+    test runs; Newton and every stable view run through this name."""
     original = recurrence._rescaled_recurrence
     passes = []
 
     def counted(alpha, n, xs, out=None):
-        passes.append((n, xs.size))
+        passes.append((alpha, n, xs.size))
         return original(alpha, n, xs, out)
 
     monkeypatch.setattr(recurrence, "_rescaled_recurrence", counted)
@@ -166,8 +170,8 @@ class TestNewton:
         np.testing.assert_allclose(refine_newton(0.0, 9, seeds[2:6]),
                                    full[2:6], rtol=4e-15)
 
-    # N <= 2 covers the rules whose weights need a pass of their own (N <= 1)
-    # and the first one that reads them from Newton's table
+    # N <= 2 covers the rules whose L_N is a closed form (N <= 1) and the
+    # first one that reads it from a kernel pass
     @pytest.mark.parametrize("alpha, N", [
         (0.0, 2048), (BENCH_ALPHA, 999), (0.0, 2050), (0.0, 999),
         (1.0, 998), (0.5, 0), (0.5, 1), (2.0, 2)])
@@ -182,7 +186,8 @@ class TestNewton:
 
     # caps 7 and 9 stop these runs after every node has cycled, at another
     # phase than 10, so they check the step tests read from the table; cap
-    # 1 leaves every final node unevaluated, so its weights need a pass
+    # 1 leaves every final node unevaluated, so Newton's last pass makes
+    # all of their weights' L_N
     @pytest.mark.parametrize("cap", [1, 2, 7, 9])
     @pytest.mark.parametrize("alpha, N", [(0.0, 2048), (BENCH_ALPHA, 999)])
     def test_bitwise_equal_at_iteration_cap(self, monkeypatch, cap, alpha,
@@ -213,13 +218,22 @@ class TestNewton:
     def test_kernel_passes_per_rule(self, kernel_passes, alpha, N, most):
         # only N = 2048 stops at Newton's cap, after 4 passes, with its final
         # nodes in Newton's table, where the weights take L_N from.  The
-        # other two pass their step test after 2 passes, and the final
-        # nodes that missed the table (47 and 63) get one degree-N pass
+        # other two pass their step test after 2 passes, and Newton's last
+        # pass evaluates the final nodes that missed the table (47 and 63)
         gauss_rule(alpha, N)
-        degrees = [n for n, _ in kernel_passes]
-        assert 1 <= len(degrees) <= most
-        assert degrees[:-1] == [N + 1] * (len(degrees) - 1)
-        assert degrees[-1] in (N, N + 1)
+        assert 1 <= len(kernel_passes) <= most
+        assert [(a, n) for a, n, _ in kernel_passes] \
+            == [(alpha, N + 1)] * len(kernel_passes)
+
+    @pytest.mark.parametrize("alpha, N", [
+        (0.0, 999), (BENCH_ALPHA, 999), (0.0, 2048)])
+    def test_radau_kernel_passes_are_newtons(self, kernel_passes, alpha, N):
+        # the interior weights come from Newton's passes on the alpha+1
+        # family at degree N, with no weight pass of their own
+        gauss_radau_rule(alpha, N)
+        assert 1 <= len(kernel_passes) <= 5
+        assert [(a, n) for a, n, _ in kernel_passes] \
+            == [(alpha + 1.0, N)] * len(kernel_passes)
 
     def test_iterate_that_is_no_abscissa_is_a_numeric_failure(self):
         # at alpha = 1e4 exp(-x/2) L underflows at every seed, the step is
@@ -520,6 +534,34 @@ class TestRadauRule:
         for k in (0, 5, 16):  # exact through degree 2N
             got = rule.weights @ rule.nodes ** k
             assert got == pytest.approx(math.gamma(k + alpha + 1), rel=1e-12)
+
+    # worst relative error over the 12 nodes, measured at the top one:
+    # 4.99e-13 and 1.56e-12 (1.53e-12 from a degree-N weight pass of its
+    # own; at the second alpha lgamma's error in the constant dominates)
+    @pytest.mark.parametrize("alpha, bound", [
+        (0.0, 5.5e-13), (BENCH_ALPHA, 1.75e-12)])
+    def test_interior_weights_against_45_digits(self, alpha, bound):
+        # the weights at the exact zeros, which Newton on the oracle's
+        # series of the alpha+1 family finds from the rule's nodes
+        N = 999
+        rule = gauss_radau_rule(alpha, N)
+        idx = np.round(np.linspace(1, N, 12)).astype(int)
+        with mp.workdps(45):
+            a = mp.mpf(alpha)
+            c = mp.exp(mp.loggamma(N + a + 1) - mp.loggamma(N + 1)) / (
+                N + a + 1)
+            for j in idx:
+                x = mp.mpf(float(rule.nodes[j]))
+                for _ in range(6):
+                    vals = oracle._poly_series_int(a + 1, N, x)
+                    step = oracle._mpf(vals[N]) / -oracle._mpf(
+                        oracle._sum(vals[:N], mp.prec))
+                    x -= step
+                    if abs(step) <= mp.mpf(10) ** -43 * x:
+                        break
+                ln = oracle._mpf(oracle._poly_series_int(a, N, x)[N])
+                ref = c * mp.exp(x) / ln ** 2
+                assert abs(rule.fun_weights[j] - ref) <= bound * ref
 
     def test_needs_at_least_one_interior(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
-from lagspec import quadrature, recurrence
+from lagspec import recurrence
 from lagspec.oracle import hp_eval
 from lagspec.problems import make_case
 from lagspec.quadrature import gauss_rule
@@ -381,28 +381,17 @@ class TestOnePointPass:
         assert np.array(got).tobytes() == np.array(
             [val[0], -part[0] - 0.5 * val[0]]).tobytes()
 
-    def test_single_missing_node_weight_pass(self, monkeypatch):
-        # Newton's table holds every final node of this rule; one hidden
-        # from it is evaluated on its own, and the rule keeps every byte
-        rule = gauss_rule(0.25, 20)
-        newton = quadrature._newton
 
-        def hide_one(alpha, N, seeds):
-            nodes, lhat = newton(alpha, N, seeds)
-            lhat[7] = np.nan
-            return nodes, lhat
-
-        monkeypatch.setattr(quadrature, "_newton", hide_one)
-        points = []
-        kernel = recurrence._rescaled_recurrence
-        monkeypatch.setattr(recurrence, "_rescaled_recurrence",
-                            lambda a, n, xs, out=None: points.append(
-                                xs.size) or kernel(a, n, xs, out))
-        again = gauss_rule(0.25, 20)
-        assert points[-1] == 2
-        for name in ("nodes", "weights", "fun_weights"):
-            assert getattr(again, name).tobytes() == \
-                getattr(rule, name).tobytes()
+@pytest.mark.parametrize("x", [0.0, 5e-324, 0.7, 1e4])
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 1000])
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.5])
+def test_prev_is_the_lower_degree_value(alpha, n, x):
+    # Newton's table and the rule weights read the degree-(n-1) value from
+    # the degree-n pass: closed forms below n = 3, the kernel's iterate
+    # before its last step from there on
+    prev = recurrence._value_deriv_prev(alpha, n, np.array([x]))[2]
+    lower = fun_value_deriv_stable(LagParams(alpha, n - 1), x)[0]
+    assert prev.tobytes() == np.array([lower]).tobytes()
 
 
 class TestRescaledKernel:
