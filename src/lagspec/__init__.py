@@ -1,48 +1,36 @@
-"""Stable Laguerre polynomials, quadrature, and a half-line spectral solver."""
+"""Stable Laguerre polynomials, quadrature, and a half-line spectral solver.
 
-from .recurrence import (
-    LagParams,
-    eval_poly_standard,
-    eval_poly_modified,
-    eval_poly_derivative,
-    eval_fun_standard,
-    eval_fun_modified,
-    eval_fun_derivative,
-    fun_series_stable,
-    fun_value_deriv_stable,
-    norm_const,
-)
-from .quadrature import (
-    GaussRule,
-    RuleKind,
-    nodes_eigen_seed,
-    refine_newton,
-    gauss_rule,
-    gauss_radau_rule,
-    cached_gauss_rule,
-)
-from .oracle import HpContext, hp_eval
-from .errmodel import (
-    ErrorBoundInput,
-    ErrorBoundResult,
-    Regime,
-    zeta_envelopes,
-    energy_bound,
-    abs_error_bound,
-    simulate_error_propagation,
-    measure_actual_error,
-)
-from .spectral import (
-    ModelProblem,
-    SpectralSolution,
-    ErrorReport,
-    assemble_system,
-    project_rhs,
-    solve,
-    error_norms,
-    optimal_beta_exponential,
-    beta_sweep,
-)
-from .problems import CaseSetup, make_case
+The public names are those of the modules' ``__all__``.  ``lagspec.X``
+imports the modules of ``_MODULES`` in turn until one exports X, then binds
+X (PEP 562), so ``import lagspec`` alone imports none of them.  mpmath
+loads only with ``oracle``: on its names, in
+``errmodel.measure_actual_error`` and in the CLI's ``compare`` and
+``errlab --measure``.  Rules, solves and sweeps run without it.
+"""
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
+
+# searched for a public name in this order
+_MODULES = ("recurrence", "quadrature", "spectral", "problems", "errmodel",
+            "oracle")
+
+
+def __getattr__(name):
+    if name == "__all__":
+        return [*_MODULES,
+                *(n for m in _MODULES for n in __getattr__(m).__all__)]
+    if name.startswith("_"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in _MODULES or name == "cli":
+        return _import_module(f"{__name__}.{name}")
+    for module in map(__getattr__, _MODULES):
+        if name in module.__all__:
+            globals()[name] = getattr(module, name)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__getattr__("__all__")})

@@ -11,7 +11,9 @@ Subcommands::
     errlab    round-off model lab: measured / simulated / bounded errors
 
 All numeric output is written at 17 significant digits (round-trip exact
-for doubles).  Exit codes: 0 success, 2 usage error, 3 numeric failure.
+for doubles).  Exit codes: 0 success, 1 standard output closed by its
+reader (a broken pipe; the rest of the output is dropped without a
+message), 2 usage error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
-from mpmath import mp
 
-from . import errmodel, oracle, problems, quadrature, recurrence, spectral
+from . import problems, quadrature, recurrence, spectral
 
+BROKEN_PIPE = 1
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
 
@@ -50,6 +53,7 @@ def _out(path):
     """``--out`` as a text stream: stdout for none or "-", else the file."""
     if path is None or path == "-":
         yield sys.stdout
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
     else:
         with open(path, "w", newline="") as fh:
             yield fh
@@ -89,6 +93,9 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     """Relative error of each double route at the Gauss nodes, vs oracle."""
+    from mpmath import mp
+    from . import oracle
+
     N = args.n
     alpha = args.alpha
     rule = quadrature.cached_gauss_rule(alpha, N - 1)
@@ -160,6 +167,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_errlab(args) -> int:
+    from . import errmodel
+
     n_max = args.n
     traj = errmodel.simulate_error_propagation(
         args.alpha, n_max, args.x, mode=args.mode, rng_seed=args.seed)
@@ -266,6 +275,11 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # stdout's reader left: the rest goes to devnull, unreported
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return BROKEN_PIPE
     except (ValueError, OSError) as exc:  # OSError: --out not writable
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

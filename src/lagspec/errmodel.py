@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from mpmath import mp
 
-from .oracle import HpContext, _poly_series_mpf
 from .recurrence import (LagParams, _abscissae, _difference,
                          eval_poly_modified, eval_poly_standard)
 
@@ -106,11 +104,6 @@ def growth_factor(n: int, alpha: float, x: float, eta: float) -> float:
                     - math.lgamma(n + s) + math.lgamma(s))
 
 
-def _energy_e1(inp: ErrorBoundInput) -> float:
-    # E_1 = x e_1^2 + (1 + alpha)(e_1 - e_0)^2 with e_0 = 0
-    return (inp.x + 1.0 + inp.alpha) * inp.e1 ** 2
-
-
 def energy_bound(inp: ErrorBoundInput) -> ErrorBoundResult:
     """Worst-case bound on the energy ``E_{n+1}``.
 
@@ -121,7 +114,8 @@ def energy_bound(inp: ErrorBoundInput) -> ErrorBoundResult:
     """
     regime = inp.regime
     n = inp.n
-    e1sq = _energy_e1(inp)
+    # E_1 = x e_1^2 + (1 + alpha)(e_1 - e_0)^2 with e_0 = 0
+    e1sq = (inp.x + 1.0 + inp.alpha) * inp.e1 ** 2
     z2 = inp.zeta_max ** 2
     if regime is Regime.NONEXPANSIVE:
         eb = e1sq + (n + 1.0) * (n + 2.0) * (2.0 * n + 3.0) / (6.0 * inp.eta) * z2
@@ -227,6 +221,9 @@ def measure_actual_error(alpha: float, n_max: int, x: float,
     ``n_max`` supply every degree.  Absolute errors are what
     :func:`abs_error_bound` bounds, and stay defined at a zero of ``L_n``.
     """
+    from mpmath import mp
+    from .oracle import HpContext, _poly_series_mpf
+
     params = LagParams(alpha=alpha, n=n_max)
     if mode == "standard":
         vals = eval_poly_standard(params, x)

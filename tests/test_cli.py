@@ -4,12 +4,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lagspec
 from lagspec import errmodel, oracle, recurrence
-from lagspec.cli import NUMERIC_ERROR, USAGE_ERROR, main
+from lagspec.cli import BROKEN_PIPE, NUMERIC_ERROR, USAGE_ERROR, main
 from test_oracle import _mpf_operator_series
 
 
@@ -372,3 +377,16 @@ class TestExitCodes:
             code = main(argv)
         assert code == NUMERIC_ERROR
         assert layer in capsys.readouterr().err
+
+    def test_closed_stdout_is_not_a_usage_error(self):
+        # ``eval ... | head -1``: about 0.5 MB of rows, far more than a
+        # pipe holds, so the process writes on after its reader is gone
+        src = str(Path(lagspec.__file__).resolve().parents[1])
+        with subprocess.Popen(
+                [sys.executable, "-m", "lagspec.cli", "eval", "--n", "20000",
+                 "--x", "1.5"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src}) as proc:
+            assert proc.stdout.readline().startswith(b"degree,value")
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+        assert proc.returncode == BROKEN_PIPE
