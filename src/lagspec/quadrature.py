@@ -181,7 +181,7 @@ def refine_newton(alpha: float, N: int, seeds: np.ndarray) -> np.ndarray:
     abscissa (NaN where ``exp(-x/2) L`` underflows) is an ArithmeticError.
 
     A step is a pointwise, deterministic map (the recurrence rescales by
-    exact powers of two and finalizes through frexp), so each abscissa
+    exact powers of two and takes them back out exactly), so each abscissa
     evaluated goes into a table with its next iterate, step test and
     ``exp(-x/2)`` times L_{N+1} and L_N, and is never evaluated again: a
     cycle between neighbouring doubles costs nothing once in the table.  A
@@ -209,7 +209,7 @@ def _newton(alpha: float, N: int, seeds: np.ndarray):
     # next iterate, its step test (1.0 passed), exp(-x/2) L_{N+1} and L_N
     tab, x, last = np.empty((5, 0)), seeds, False
     for k in range(_NEWTON_MAX_ITERS + 1):
-        pts = np.unique(x[~np.isin(x, tab[0])])
+        pts = _unseen(x, tab[0])
         if pts.size:
             j = np.argmin((x >= 0) & (x < np.inf))  # a non-abscissa first
             if not 0 <= x[j] < np.inf:
@@ -217,7 +217,7 @@ def _newton(alpha: float, N: int, seeds: np.ndarray):
             m = (_NEWTON_PAD_POINTS // pts.size - 1) // 2  # ulps per side
             if k and m > 0 and not last:
                 near = pts + np.arange(-m, m + 1)[:, None] * np.spacing(pts)
-                pts = np.setdiff1d(np.maximum(near, 0.0), tab[0])
+                pts = _unseen(np.maximum(near, 0.0).ravel(), tab[0])
             val, der, prev = _value_deriv_prev(alpha, N + 1, pts)
             # L / L' = Lhat / (Lhat' + Lhat / 2): the exp(-x/2) scale cancels
             step = val / (der + 0.5 * val)
@@ -235,6 +235,12 @@ def _newton(alpha: float, N: int, seeds: np.ndarray):
                           f"{np.flatnonzero(escaped).tolist()}; falling back "
                           f"to seeds", RuntimeWarning)
             x[escaped] = seeds[escaped]
+
+
+def _unseen(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``np.setdiff1d(v, t)`` for a sorted, unique ``t``, without numpy.ma."""
+    v = np.sort(v[np.append(t, np.nan)[np.searchsorted(t, v)] != v])
+    return v[np.diff(v, prepend=-np.inf) != 0]
 
 
 def _rule(alpha: float, N: int, kind: RuleKind) -> GaussRule:

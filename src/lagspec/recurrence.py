@@ -15,9 +15,9 @@ Three evaluation routes are provided:
   for points to rescale every few steps, an interval derived from the
   largest abscissa and the headroom the rescale threshold ``_K1`` leaves
   below overflow, and hands back finished values, finalizing a series a
-  few rows at a time.  The thresholds are private constants: no result
-  depends on them beyond the final rounding, and the tests vary them to
-  show it.
+  few rows at a time with one exp per abscissa.  The thresholds are
+  private constants: no result depends on them beyond the final rounding,
+  and the tests vary them to show it.
 
 Every evaluator returns a plain array: a scalar ``x`` gives a series of
 shape ``(n+1,)``, an array of any shape one of shape ``(n+1,) + x.shape``,
@@ -75,39 +75,40 @@ class LagParams:
 _K1 = 32.0
 _K2 = 32.0
 
-# Cody-Waite split of ln 2: the high part carries ~33 significant bits, so
-# products with moderate integers are exact; the low part restores full
-# precision in the compensated exponent of the rescaled evaluation.
+# Cody-Waite split of ln 2 (Cody and Waite, Software Manual for the
+# Elementary Functions, 1980): the first two parts carry 21 significant bits
+# each, so their products with the integers q <= 2^32 of _reduce are exact.
 _LN2 = math.log(2.0)
-_LN2_HI = 6.93147180369123816490e-01
-_LN2_LO = 1.90821492927058770002e-10
+_LN2_HI, _LN2_MID = 0.6931467056274414, 4.7493244892393705e-07
+_LN2_LO = 5.497923018708371e-14
 
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
 _CHECK_MARGIN = 32.0  # nats of slack in the array kernel's check interval
 _FINALIZE_ROWS = 16  # rows per block when finalizing a stored series
 
 
-def _finalize(L, M, x):
-    """``exp(-x/2) L_k`` from the kernel's iterates ``L = 2^-M L_k``.
+def _reduce(xs):
+    """``(q, exp(-r))`` per abscissa, ``x/2 = q ln 2 + r``, ``|r| <= ln(2)/2``
+    (Tang, ACM TOMS 15 (1989) 144-157); r carries one rounding, as its first
+    two steps are exact.  q stops at 2^32, x above 5.95e9."""
+    q = np.minimum(np.rint(xs / (2.0 * _LN2)), 2.0 ** 32)
+    r = ((0.5 * xs - q * _LN2_HI) - q * _LN2_MID) - q * _LN2_LO
+    return q.astype(np.int64), np.exp(-r)
 
-    ``L`` is split into mantissa and exponent ``e`` first: iterates made
-    under different rescale thresholds differ only by exact powers of two,
-    so from here on the result is bitwise threshold-independent.  The
-    exponent ``t = (M + e) ln 2 - x/2`` is a compensated (head, tail) pair;
-    ``(M + e) * _LN2_HI`` is exact for the integer counts arising here, so
-    the path-dependent part of ``t`` stays below one ulp of the result.
-    The sign is taken from the mantissa: ``1 + t_lo`` turns negative once
-    x/2 has a tail below -1 (x of about 1e16 and up), and an underflowed
-    zero must not follow it.
+
+def _finalize(L, M, red, out=None):
+    """``exp(-x/2) L_k = ldexp(L E, M - q)`` from the kernel's iterates
+    ``L = 2^-M L_k`` and the reduction ``red = (q, E)`` of their abscissae.
+
+    Iterates under different rescale thresholds differ by exact powers of
+    two in L and M, which ``L E`` keeps and ldexp takes out: the result is
+    bitwise threshold-independent, an underflowed zero's sign included.
+    The cap on q moves no representable result, which needs ``M - q >
+    -2100``: ``M ln 2 <= ln max |L_j(x)| + _K2``, about ``n ln(1 + x)`` for
+    moderate alpha, stays below ``x/2 - 1500`` past the cap for n < 10^8.
     """
-    mant, e = np.frexp(L)
-    me = (np.asarray(M) + e).astype(float)
-    a, b = me * _LN2_HI, 0.5 * x
-    t_hi = a - b
-    bv = t_hi - a
-    t_lo = (a - (t_hi - bv)) + (-b - bv) + me * _LN2_LO
-    out = mant * np.exp(t_hi) * (1.0 + t_lo)
-    return np.copysign(out, mant, out=out)
+    q, E = red
+    return np.ldexp(np.multiply(L, E, out=out), M - q, out=out)
 
 
 def _abscissae(x):
@@ -225,10 +226,10 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
     finalizer's temporaries stay block-sized.  Without ``out`` (``n >= 2``)
     returns ``exp(-x/2)`` times ``L_n``, ``L_0 + .. + L_{n-1}`` and
     ``L_{n-1}``, the last finalized before the last step (bitwise the
-    degree-``(n-1)`` value for ``n >= 3``, as rescaling is exact).
+    degree-``(n-1)`` value, as rescaling is exact).
     """
-    # A rescale is an exact power of two and finalizing goes through frexp,
-    # so checking every K steps changes no result as long as nothing
+    # A rescale is an exact power of two and finalizing takes it back out
+    # exactly, so checking every K steps changes no result as long as nothing
     # overflows.  A step maps m = max(|L|, |dL|) to at most g m, with
     # g = 2 + |alpha| + x_max as |k+alpha|/(k+1) <= 1 + |alpha| and
     # x/(k+1) <= x/2.  A check leaves |L| <= exp(_K1) (or near the weighted
@@ -240,7 +241,7 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
     headroom = _LOG_DBL_MAX - _K1 - math.log(n + 1.0) - _CHECK_MARGIN
     every = max(1, int(headroom // math.log(g)))  # 1 where g overflows
     big = math.exp(_K1)
-    half_x = 0.5 * xs
+    red = _reduce(xs)
     L = 1.0 + alpha - xs
     dL = alpha - xs
     tmp = np.empty_like(xs)
@@ -253,7 +254,7 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
     # k = 0 makes no step: x L_1 can overflow only where |L_1| >> exp(_K1)
     for k in range(n):
         if k == n - 1 and out is None:
-            prev = _finalize(L, M, xs)
+            prev = _finalize(L, M, red)
         if k:
             dL *= k + alpha
             dL -= np.multiply(xs, L, out=tmp)
@@ -265,12 +266,12 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
         if out is not None:
             out[k + 1] = L
             if check or k + 2 - done >= _FINALIZE_ROWS:
-                out[done:k + 2] = _finalize(out[done:k + 2], M, xs)
+                _finalize(out[done:k + 2], M, red, out[done:k + 2])
                 done = k + 2
         if check:
             idx = np.flatnonzero(np.abs(L) > big)
             if idx.size:
-                xb = np.maximum(half_x[idx] - M[idx] * _LN2, 0.0)
+                xb = np.maximum(0.5 * xs[idx] - M[idx] * _LN2, 0.0)
                 xc = np.clip(np.log(np.abs(L[idx])) + _K2, 0.0, xb)
                 shift = (xc / _LN2).astype(np.int64)
                 for v in (L, dL) + sums:
@@ -279,15 +280,15 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
     if not all(np.isfinite(v).all() for v in (L,) + sums):
         raise ArithmeticError("non-finite intermediate in rescaled recurrence")
     if out is None:
-        return _finalize(L, M, xs), _finalize(S - L, M, xs), prev
-    out[done:] = _finalize(out[done:], M, xs)
+        return _finalize(L, M, red), _finalize(S - L, M, red), prev
+    _finalize(out[done:], M, red, out[done:])
 
 
 def fun_series_stable(params: LagParams, x) -> np.ndarray:
     """Stable Laguerre-function series at one or many abscissae.
 
-    Every entry is the partially weighted iterate finalized through the
-    compensated leftover exponent (see ``_finalize``).  Early entries whose
+    Every entry is the partially weighted iterate times one exp per
+    abscissa and a power of two (see ``_finalize``).  Early entries whose
     true magnitude is below the double-precision range come out as exact
     zeros.
 
@@ -317,17 +318,16 @@ def fun_value_deriv_stable(params: LagParams, x):
 def _value_deriv_prev(alpha: float, n: int, xs: np.ndarray):
     """``fun_value_deriv_stable`` at 1-D ``xs`` and ``exp(-x/2) L_{n-1}``,
     bitwise the degree-(n-1) value (0 for n = 0)."""
-    if n <= 1:
-        w = np.exp(-xs / 2.0)
-        val = w if n == 0 else (1.0 + alpha - xs) * w
-        der = -0.5 * w if n == 0 else -(alpha + 3.0 - xs) / 2.0 * w
-        return val, der, 0.0 * w if n == 0 else w
+    if n <= 1:  # L_0 = 1, L_1 and L_1' - L_1/2, as the kernel finalizes
+        red = _reduce(xs)
+        w, val, der = (_finalize(v, 0, red) for v in (
+            1.0, 1.0 + alpha - xs, -0.5 * (alpha + 3.0 - xs)))
+        return (w, -0.5 * w, 0.0 * w) if n == 0 else (val, der, w)
     # one abscissa runs as two copies: 9.1 vs 4.8 ms at degree 1000
     val, part, prev = (v[:xs.size] for v in _rescaled_recurrence(
         alpha, n, np.repeat(xs, 2) if xs.size == 1 else xs))
     # exp(-x/2) L_n' = -part; the prefactor's product rule adds -val/2
-    return val, -part - 0.5 * val, prev if n >= 3 else _value_deriv_prev(
-        alpha, 1, xs)[0]  # degree 1 is a closed form
+    return val, -part - 0.5 * val, prev
 
 
 def eval_fun_derivative(params: LagParams, x) -> np.ndarray:

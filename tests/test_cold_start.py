@@ -2,8 +2,8 @@
 
 ``import lagspec`` imports none of its modules.  Rules, the Galerkin
 solver and the CLI's ``quad``, ``eval``, ``solve``, ``sweep`` and
-``errlab`` without ``--measure`` run without ``scipy.linalg`` and without
-mpmath; ``compare`` and ``errlab --measure`` load mpmath, and an eigen
+``errlab`` without ``--measure`` run without ``scipy.linalg``, mpmath and
+``numpy.ma``; ``compare`` and ``errlab --measure`` load mpmath, and an eigen
 seed of 500+ rows, which only alpha < 0 takes, loads ``scipy.linalg``.
 """
 
@@ -49,7 +49,8 @@ run(["quad", "--n", "40"], ["eval", "--n", "200", "--x", "150"],
     ["solve", "--case", "u2", "--n", "64", "--beta", "0.6"],
     ["sweep", "--case", "u1", "--n-list", "16,32", "--beta-list", "1,2"],
     ["errlab", "--x", "0.1", "--n", "60"])
-seen["core"] = ["scipy.linalg" in sys.modules, "mpmath" in sys.modules]
+seen["core"] = ["scipy.linalg" in sys.modules, "mpmath" in sys.modules,
+                "numpy.ma" in sys.modules]
 run(["compare", "--n", "24", "--alpha", "0.5"],
     ["errlab", "--x", "0.1", "--n", "60", "--measure"])
 seen["oracle"] = ["scipy.linalg" in sys.modules, "mpmath" in sys.modules]
@@ -71,6 +72,11 @@ def test_only_eigen_seeds_of_500_rows_import_scipy_linalg(seen):
     assert seen["core"][0] is False
     assert seen["oracle"][0] is False
     assert seen["eigen_500"] is True
+
+
+def test_core_never_imports_numpy_ma(seen):
+    # np.unique, np.isin's sort path and np.setdiff1d import it
+    assert seen["core"][2] is False
 
 
 def test_only_the_oracle_commands_import_mpmath(seen):

@@ -170,8 +170,8 @@ class TestNewton:
         np.testing.assert_allclose(refine_newton(0.0, 9, seeds[2:6]),
                                    full[2:6], rtol=4e-15)
 
-    # N <= 2 covers the rules whose L_N is a closed form (N <= 1) and the
-    # first one that reads it from a kernel pass
+    # N <= 2 covers the rule whose L_N is L_0 finalized on its own (N = 0)
+    # and the first ones that read it from a kernel pass
     @pytest.mark.parametrize("alpha, N", [
         (0.0, 2048), (BENCH_ALPHA, 999), (0.0, 2050), (0.0, 999),
         (1.0, 998), (0.5, 0), (0.5, 1), (2.0, 2)])
@@ -439,6 +439,33 @@ class TestGaussRule:
 
     def test_npoints(self):
         assert gauss_rule(0.0, 4).npoints == 5
+
+    # worst relative error over these 13 nodes: 8.3e-13, at the middle node
+    # of the 1024-point rule, where lgamma's error in the weight constant
+    # (about 7e-13 at every node) dominates; the top of the 4099-point rule
+    # read 4.4e-12 when the series took a compensated exponent per cell
+    @pytest.mark.parametrize("N, idx", [
+        (1023, np.round(np.linspace(512, 1023, 10)).astype(int)),
+        (4098, [3500, 4000, 4098])])
+    def test_fun_weights_against_200_bits(self, N, idx):
+        # the weights at the exact zeros, which Newton on the oracle's
+        # series finds from the rule's nodes; L_N is read from the series
+        # before the last step, which moves x by less than 2^-190 of it
+        rule = cached_gauss_rule(0.0, N)
+        with mp.workprec(200):
+            for j in idx:
+                x = mp.mpf(float(rule.nodes[j]))
+                for _ in range(6):
+                    vals = oracle._poly_series_int(0, N + 1, x)
+                    step = oracle._mpf(vals[N + 1]) / -oracle._mpf(
+                        oracle._sum(vals[:N + 1], mp.prec))
+                    x -= step
+                    if abs(step) <= mp.mpf(2) ** -190 * x:
+                        break
+                # at alpha = 0 the constant Gamma(N+1)/((N+1) (N+1)!) is
+                # 1/(N+1)^2
+                ref = x * mp.exp(x) / ((N + 1) * oracle._mpf(vals[N])) ** 2
+                assert abs(rule.fun_weights[j] - ref) <= 1e-12 * ref, j
 
     def test_moment_exactness(self):
         # monomial moments: integral of x^k x^alpha e^-x = Gamma(k+alpha+1)

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 from scipy.special import eval_genlaguerre
 
 from lagspec import recurrence
 from lagspec.oracle import hp_eval
 from lagspec.problems import make_case
-from lagspec.quadrature import gauss_rule
+from lagspec.quadrature import cached_gauss_rule, gauss_rule
 from lagspec.recurrence import (
     LagParams,
     eval_fun_derivative,
@@ -387,8 +388,8 @@ class TestOnePointPass:
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.5])
 def test_prev_is_the_lower_degree_value(alpha, n, x):
     # Newton's table and the rule weights read the degree-(n-1) value from
-    # the degree-n pass: closed forms below n = 3, the kernel's iterate
-    # before its last step from there on
+    # the degree-n pass: L_0 finalized at n = 1, the kernel's iterate before
+    # its last step from there on
     prev = recurrence._value_deriv_prev(alpha, n, np.array([x]))[2]
     lower = fun_value_deriv_stable(LagParams(alpha, n - 1), x)[0]
     assert prev.tobytes() == np.array([lower]).tobytes()
@@ -453,8 +454,8 @@ class TestRescaledKernel:
                                        (16.0, 48.0)])
     def test_underflowed_zero_sign_threshold_independent(self, n, k1, k2,
                                                          monkeypatch):
-        # at x = 1e18 every value underflows and 1 + t_lo < 0; the sign of
-        # a zero must still not depend on the rescale thresholds
+        # at x = 1e18 every value underflows (q is capped, so exp(-r) is 0);
+        # a zero takes the sign of the iterate, which no threshold changes
         p = LagParams(0.0, n)
         xs = np.array([1e18])
         base = np.array(fun_value_deriv_stable(p, xs))
@@ -476,11 +477,11 @@ class TestRescaledKernel:
     # block also ends once 16 rows wait.  With 1e30 the checks come every 9
     # steps, so they end the blocks (1|2, 10|11, 19|20, 28|29, 37|38); over
     # the 201-point nodes alone they come every 96, so after 1|2 the row cap
-    # does (17|18, 33|34).  Degree 1 has its own closed form (see below).
+    # does (17|18, 33|34).  Degrees 0 and 1 are finalized on their own.
     @pytest.mark.parametrize("a", [0.0, 0.5, 3.7])
-    @pytest.mark.parametrize("k", [2, 3, 10, 11, 12, 15, 16, 17, 18, 19,
-                                   20, 21, 28, 29, 30, 31, 32, 33, 34, 35,
-                                   37, 38, 39, 40])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 10, 11, 12, 15, 16, 17, 18,
+                                   19, 20, 21, 28, 29, 30, 31, 32, 33, 34,
+                                   35, 37, 38, 39, 40])
     def test_series_row_equals_single_degree_bitwise(self, k, a):
         for huge in (True, False):
             xs = self._rows_xs(huge)
@@ -491,12 +492,41 @@ class TestRescaledKernel:
     @pytest.mark.parametrize("a", [0.0, 0.5, 3.7])
     @pytest.mark.parametrize("n", [0, 1])
     def test_short_series_equals_leading_rows_bitwise(self, n, a):
-        # fewer rows than one block; degrees 0 and 1 have their own closed
-        # form in fun_value_deriv_stable, so compare with the long series
+        # fewer rows than one block, and no step of the recurrence
         xs = self._rows_xs()
         short = fun_series_stable(LagParams(a, n), xs)
         assert short.tobytes() == \
             fun_series_stable(LagParams(a, 40), xs)[:n + 1].tobytes()
+
+    def test_finalize_within_one_and_a_half_ulps(self, monkeypatch):
+        # every normal cell against the kernel's own iterates (L, M)
+        # finalized at 200 bits, at 30 middle nodes of the 4099-point rule
+        # and 30 over the top of the range where its degree-1024 values are
+        # normal: 1.38 ulps at worst (2,641 with the compensated exponent
+        # that finalized each cell before)
+        nodes = cached_gauss_rule(0.0, 4098).nodes
+        xs = np.concatenate([nodes[2034:2064], nodes[2800:3160:12]])
+        blocks, finalize = [], recurrence._finalize
+
+        def spy(L, M, red, out=None):
+            blocks.append((np.array(L), np.broadcast_to(M, L.shape).copy()))
+            return finalize(L, M, red, out)
+
+        monkeypatch.setattr(recurrence, "_finalize", spy)
+        got = fun_series_stable(LagParams(0.0, 1024), xs)
+        L, M = (np.concatenate(v) for v in zip(*blocks))
+        assert L.shape == got.shape
+        worst, tiny = 0.0, np.finfo(float).tiny
+        with mp.workprec(200):
+            w = [mp.exp(-mp.mpf(x) / 2) for x in xs.tolist()]
+            for cells in zip(L.tolist(), M.tolist(), got.tolist()):
+                for wj, lk, m, v in zip(w, *cells):
+                    ref = mp.ldexp(wj * lk, m)
+                    hi = float(ref)
+                    if abs(hi) >= tiny:
+                        err = abs((v - hi) - float(ref - hi)) / math.ulp(hi)
+                        worst = max(worst, err)
+        assert worst <= 1.5
 
     def test_series_memory_near_result_size(self):
         # a memory count, not a timing: finalizing must not make another
