@@ -59,6 +59,11 @@ class ErrorBoundInput:
     zeta_max: float
 
     def __post_init__(self) -> None:
+        if not 0.0 <= self.x < math.inf:
+            raise ValueError(f"x must be finite and >= 0, got {self.x}")
+        for name in ("e1", "zeta_max"):
+            if not math.isfinite(v := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {v}")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
         if not 3.0 - self.alpha - self.x - self.eta > 0:
@@ -137,7 +142,7 @@ def abs_error_bound(inp: ErrorBoundInput) -> float:
     """
     n = inp.n
     m = max(abs(inp.e1), abs(inp.zeta_max))
-    sx = math.sqrt(abs(inp.x))
+    sx = math.sqrt(inp.x)
     if sx == 0.0:
         raise ValueError("x must be nonzero for the explicit bound")
     regime = inp.regime

@@ -7,17 +7,15 @@ Three evaluation routes are provided:
 * a difference reformulation that propagates successive differences
   ``dL_n = L_n - L_{n-1}`` and loses fewer digits for small arguments
   (``eval_poly_modified`` / ``eval_fun_modified``),
-* an adaptive rescaling scheme that folds the exponential prefactor
-  ``exp(-x/2)`` into the iteration in small portions, so Laguerre functions
-  of degree 1000+ can be evaluated at large arguments without overflow or
-  underflow.  It is written once, as the array kernel behind
-  ``fun_series_stable`` and ``fun_value_deriv_stable``.  The kernel checks
-  for points to rescale every few steps, an interval derived from the
-  largest abscissa and the headroom the rescale threshold ``_K1`` leaves
-  below overflow, and hands back finished values, finalizing a series a
-  few rows at a time with one exp per abscissa.  The thresholds are
-  private constants: no result depends on them beyond the final rounding,
-  and the tests vary them to show it.
+* an adaptive rescaling scheme that keeps each iterate's binary exponent
+  apart and applies ``exp(-x/2)`` only when finishing a value, so Laguerre
+  functions of degree 1000+ can be evaluated at large arguments without
+  overflow or underflow.  It is written once, as the array kernel behind
+  ``fun_series_stable`` and ``fun_value_deriv_stable``.  Every few steps
+  it scales each point's state below 1 by the state's own binary exponent,
+  and it finalizes a series a few rows at a time with one exp per
+  abscissa.  No result depends on where these checks fall; the tests
+  move them to show it.
 
 Every evaluator returns a plain array: a scalar ``x`` gives a series of
 shape ``(n+1,)``, an array of any shape one of shape ``(n+1,) + x.shape``,
@@ -67,14 +65,6 @@ class LagParams:
             raise ValueError(f"degree must be an integer >= 0, got {self.n}")
 
 
-# Thresholds of the adaptive rescaling: a rescale starts once |L| > exp(_K1)
-# and brings the value down to about exp(-_K2).  _K1 + _K2 < 80 keeps every
-# intermediate representable in double precision, and _K1 also sets the
-# headroom between the kernel's checks (see _rescaled_recurrence).
-# Read at call time; no result depends on them beyond the final rounding.
-_K1 = 32.0
-_K2 = 32.0
-
 # Cody-Waite split of ln 2 (Cody and Waite, Software Manual for the
 # Elementary Functions, 1980): the first two parts carry 21 significant bits
 # each, so their products with the integers q <= 2^32 of _reduce are exact.
@@ -100,15 +90,18 @@ def _finalize(L, M, red, out=None):
     """``exp(-x/2) L_k = ldexp(L E, M - q)`` from the kernel's iterates
     ``L = 2^-M L_k`` and the reduction ``red = (q, E)`` of their abscissae.
 
-    Iterates under different rescale thresholds differ by exact powers of
+    Iterates under different check schedules differ by exact powers of
     two in L and M, which ``L E`` keeps and ldexp takes out: the result is
-    bitwise threshold-independent, an underflowed zero's sign included.
+    bitwise schedule-independent, an underflowed zero's sign included.
     The cap on q moves no representable result, which needs ``M - q >
-    -2100``: ``M ln 2 <= ln max |L_j(x)| + _K2``, about ``n ln(1 + x)`` for
-    moderate alpha, stays below ``x/2 - 1500`` past the cap for n < 10^8.
+    -2100``: as every state is below 1 after a check, ``M ln 2 <= ln max
+    |L_j(x)| + ln 2``, about ``n ln(1 + x)`` for moderate alpha, stays
+    below ``x/2 - 1500`` past the cap for n < 10^8.  Past the double range
+    a value is a signed infinity, without a warning, as below it a zero.
     """
     q, E = red
-    return np.ldexp(np.multiply(L, E, out=out), M - q, out=out)
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.multiply(L, E, out=out), M - q, out=out)
 
 
 def _abscissae(x):
@@ -214,12 +207,12 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
                          out: np.ndarray | None = None):
     """The rescaled difference recurrence at many abscissae, finished.
 
-    Runs the difference recurrence on partially weighted values.  A budget
-    ``x_b = x/2`` of exponent remains to be applied; at a check, each point
-    whose iterate grew past ``exp(_K1)`` has ``x_c = min(max(log|L| + _K2,
-    0), x_b)`` of the weight folded in as an exact power of two and deducted
-    from the budget.  The first check comes before the first step, the next
-    ones every ``every`` steps; the ``2^-M``-scaled iterates never
+    Runs the difference recurrence on the iterates ``2^-M L_k``.  At a
+    check, each point whose state ``max(|L|, |dL|)`` is at least 1 is
+    scaled, with its running sum, by ``2^-e`` into [0.5, 1), e the state's
+    binary exponent, and ``M += e``: every state is below 1 after every
+    check.  The first check comes before the first step, the next ones
+    every ``every`` steps; the scaled iterates never
     leave this function.  Fills ``out``, shape ``(n+1, npts)``, with
     ``exp(-x/2) L_k``, finalizing the rows made since the last block before
     a check can change ``M`` and once ``_FINALIZE_ROWS`` wait, so the
@@ -232,15 +225,12 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
     # exactly, so checking every K steps changes no result as long as nothing
     # overflows.  A step maps m = max(|L|, |dL|) to at most g m, with
     # g = 2 + |alpha| + x_max as |k+alpha|/(k+1) <= 1 + |alpha| and
-    # x/(k+1) <= x/2.  A check leaves |L| <= exp(_K1) (or near the weighted
-    # function once the budget x/2 is spent), and the running sum and
-    # (k+alpha) dL stay within n+1 times the largest state, so K steps stay
-    # finite while K log g <= log(DBL_MAX) - _K1 - log(n+1) - margin.  The
-    # margin covers |dL| > |L| just after a check, near a sign change of L.
+    # x/(k+1) <= x/2.  A check leaves every state below 1, and the running
+    # sum and (k+alpha) dL stay within n+1 times the largest state, so K
+    # steps stay finite while K log g <= log(DBL_MAX) - log(n+1) - margin.
     g = 2.0 + abs(alpha) + float(xs.max(initial=0.0))
-    headroom = _LOG_DBL_MAX - _K1 - math.log(n + 1.0) - _CHECK_MARGIN
+    headroom = _LOG_DBL_MAX - math.log(n + 1.0) - _CHECK_MARGIN
     every = max(1, int(headroom // math.log(g)))  # 1 where g overflows
-    big = math.exp(_K1)
     red = _reduce(xs)
     L = 1.0 + alpha - xs
     dL = alpha - xs
@@ -251,7 +241,7 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
     done = 0  # rows of out finalized so far
     if out is not None:
         out[0] = 1.0
-    # k = 0 makes no step: x L_1 can overflow only where |L_1| >> exp(_K1)
+    # k = 0 makes no step: x L_1 overflows unless L_1 is rescaled first
     for k in range(n):
         if k == n - 1 and out is None:
             prev = _finalize(L, M, red)
@@ -269,14 +259,11 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
                 _finalize(out[done:k + 2], M, red, out[done:k + 2])
                 done = k + 2
         if check:
-            idx = np.flatnonzero(np.abs(L) > big)
-            if idx.size:
-                xb = np.maximum(0.5 * xs[idx] - M[idx] * _LN2, 0.0)
-                xc = np.clip(np.log(np.abs(L[idx])) + _K2, 0.0, xb)
-                shift = (xc / _LN2).astype(np.int64)
-                for v in (L, dL) + sums:
-                    v[idx] = np.ldexp(v[idx], -shift)
-                M[idx] += shift
+            state = np.maximum(np.abs(L), np.abs(dL))
+            shift = np.maximum(np.frexp(state)[1], 0)
+            for v in (L, dL) + sums:
+                np.ldexp(v, -shift, out=v)
+            M += shift
     if not all(np.isfinite(v).all() for v in (L,) + sums):
         raise ArithmeticError("non-finite intermediate in rescaled recurrence")
     if out is None:
@@ -287,10 +274,11 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
 def fun_series_stable(params: LagParams, x) -> np.ndarray:
     """Stable Laguerre-function series at one or many abscissae.
 
-    Every entry is the partially weighted iterate times one exp per
-    abscissa and a power of two (see ``_finalize``).  Early entries whose
-    true magnitude is below the double-precision range come out as exact
-    zeros.
+    Every entry is the kernel's rescaled iterate times one exp per
+    abscissa and a power of two (see ``_finalize``).  Entries whose true
+    magnitude is below the double-precision range come out as signed
+    zeros, and entries above it as signed infinities, both without a
+    warning; the other entries of the call keep their values.
 
     Returns an array of shape ``(n+1,) + np.shape(x)``.
     """

@@ -187,11 +187,7 @@ def project_rhs(problem: ModelProblem, N: int, M: int, beta: float
         raise ValueError("beta must be finite and > 0, with beta**2 and "
                          f"gamma/beta**2 positive doubles, got {beta}")
     rb = _rule_basis(N, M)
-    g = np.asarray(problem.f(rb.y / beta), dtype=float)
-    if not np.all(np.isfinite(g)):
-        j = int(np.flatnonzero(~np.isfinite(g))[0])
-        raise ArithmeticError(
-            f"right-hand side non-finite at node x = {rb.y[j] / beta}")
+    g = _samples(problem.f, "right-hand side", rb.y, beta)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         t = rb.lhat @ (g * rb.w)  # (g/beta^2, psi_n) = (t_n - t_{n+1})/beta^2
         b = (t[:-1] - t[1:]) / beta ** 2
@@ -240,17 +236,26 @@ def solve(problem: ModelProblem, N: int, M: int | None = None,
                             problem=problem)
 
 
+def _samples(fn, name: str, y: np.ndarray, beta: float) -> np.ndarray:
+    """``fn`` at the nodes ``x = y/beta``, checked finite before any use."""
+    v = np.asarray(fn(y / beta), dtype=float)
+    if not np.all(np.isfinite(v)):
+        j = int(np.flatnonzero(~np.isfinite(v))[0])
+        raise ArithmeticError(f"{name} non-finite at node x = {y[j] / beta}")
+    return v
+
+
 def _norms_at_order(sol: SpectralSolution, rb: _RuleBasis, h1: bool
                     ) -> tuple[float, float]:
     problem = sol.problem
     y, w = rb.y, rb.w
     beta = sol.beta
     v_num = _series_coeffs(sol.coeffs, False) @ rb.lhat
-    v_ex = np.asarray(problem.u_exact(y / beta), dtype=float)
+    v_ex = _samples(problem.u_exact, "u_exact", y, beta)
     l2_y = math.sqrt(float(np.sum((v_ex - v_num) ** 2 * w)))
     if h1 and problem.u_exact_prime is not None:
         dv_num = _series_coeffs(sol.coeffs, True) @ rb.lhat
-        dv_ex = np.asarray(problem.u_exact_prime(y / beta), dtype=float) / beta
+        dv_ex = _samples(problem.u_exact_prime, "u_exact_prime", y, beta) / beta
         h1_y = math.sqrt(float(np.sum((dv_ex - dv_num) ** 2 * w)))
     else:
         h1_y = float("nan")
@@ -265,7 +270,8 @@ def error_norms(sol: SpectralSolution, *,
 
     Norm integrals use a (2M+3)-point rule in the scaled variable; with
     ``check_quadrature`` a (4M+1)-point re-evaluation estimates the
-    quadrature-induced part of the reported error.
+    quadrature-induced part of the reported error.  A non-finite exact
+    value or derivative at a node is an ArithmeticError naming the node.
     """
     if sol.problem.u_exact is None:  # before any basis is built
         raise ValueError("problem has no exact solution to compare against")

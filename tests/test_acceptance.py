@@ -263,7 +263,7 @@ def test_criterion_9_invariant_suite():
     """Structural invariants: interlacing, weight positivity and total
     mass, the Radau/shifted-family link, closed-form system matrices vs
     quadrature assembly, trial-space exactness, and invariance of the
-    rescaled evaluation under its threshold configuration."""
+    rescaled evaluation under its check schedule."""
     # node interlacing between consecutive rule sizes
     for alpha, N in ((0.0, 40), (1.5, 25)):
         small = gauss_rule(alpha, N - 1).nodes
@@ -322,15 +322,14 @@ def test_criterion_9_invariant_suite():
     expect[2] = 1.0
     assert np.max(np.abs(sol.coeffs - expect)) <= 1e-10
 
-    # rescaling thresholds must not change results beyond a few ulps;
+    # the rescaling schedule must not change results beyond a few ulps;
     # probe between the zeros, where the value is not cancellation-limited
     params = LagParams(alpha=0.0, n=500)
     nodes = gauss_rule(0.0, 499).nodes
     probe = 0.5 * (nodes[:-1] + nodes[1:])[[0, 125, 250, 375, 498]]
     base, _ = recurrence.fun_value_deriv_stable(params, probe)
-    for k1, k2 in ((20.0, 40.0), (48.0, 16.0), (16.0, 48.0)):
+    for margin in (0.0, 8.0, 200.0, 700.0):
         with pytest.MonkeyPatch.context() as mpatch:
-            mpatch.setattr(recurrence, "_K1", k1)
-            mpatch.setattr(recurrence, "_K2", k2)
+            mpatch.setattr(recurrence, "_CHECK_MARGIN", margin)
             other, _ = recurrence.fun_value_deriv_stable(params, probe)
         assert np.all(np.abs(other - base) <= 4.0 * np.spacing(np.abs(base)))

@@ -38,6 +38,20 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             _inp(alpha=2.0, x=1.0)  # 3 - alpha - x - eta <= 0
 
+    @pytest.mark.parametrize("x", [-0.1, -5e-324, math.inf, math.nan])
+    def test_x_finite_and_nonnegative(self, x):
+        # the bounds' theorem holds for x >= 0 only
+        with pytest.raises(ValueError, match=f"^x must be finite and >= 0, "
+                           f"got {x}$"):
+            _inp(x=x)
+
+    @pytest.mark.parametrize("field", ["e1", "zeta_max"])
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_errors_finite(self, field, v):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, "
+                           f"got {v}$"):
+            _inp(**{field: v})
+
     def test_n_at_least_one(self):
         with pytest.raises(ValueError):
             _inp(n=0)

@@ -102,11 +102,6 @@ class TestParams:
                                + re.escape(shown) + "$"):
                 abscissa_routes[route](x)
 
-    def test_rescale_thresholds_within_budget(self):
-        # every intermediate stays representable only while k1 + k2 < 80
-        assert recurrence._K1 > 0 and recurrence._K2 > 0
-        assert recurrence._K1 + recurrence._K2 < 80.0
-
 
 class TestPolynomialValues:
     def test_degree_zero_and_one(self):
@@ -395,31 +390,54 @@ def test_prev_is_the_lower_degree_value(alpha, n, x):
     assert prev.tobytes() == np.array([lower]).tobytes()
 
 
+# check-interval margins in nats: 32 is the default, 700 leaves no headroom
+# and checks every step
+MARGINS = [0.0, 8.0, 32.0, 200.0, 700.0]
+
+# one call per group, as the check interval follows a call's largest
+# abscissa: at 1e200 and above it is one step under every margin
+SCHEDULE_XS = [[0.0, 5e-324, 1e-300, 0.5, 2.0, 50.0, 1e4], [1e30, 1e100],
+               [1e200, 1.7e308]]
+
+
+def _schedule_outputs(nodes):
+    """The kernel's outputs that a check schedule could move, as bytes."""
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    probe = np.concatenate([mids[:-10:16], mids[-10:]])
+    p = LagParams(0.0, 2048)
+    out = [np.array(fun_value_deriv_stable(p, mids)),
+           fun_series_stable(p, probe),
+           fun_value_deriv_stable(LagParams(0.0, 2047), mids)[0],
+           recurrence._rescaled_recurrence(0.0, 2048, mids)[2]]
+    for alpha in (-0.5, 0.0, 2.5, 20.0):
+        for n in (0, 1, 2, 5, 40, 2048):
+            p = LagParams(alpha, n)
+            for xs in SCHEDULE_XS:
+                out += [fun_series_stable(p, xs),
+                        np.array(fun_value_deriv_stable(p, xs))]
+    return [v.tobytes() for v in out]
+
+
+@pytest.fixture(scope="module")
+def default_schedule_outputs(nodes_2049):
+    return _schedule_outputs(nodes_2049)
+
+
 class TestRescaledKernel:
     """The array kernel behind ``fun_series_stable`` and
-    ``fun_value_deriv_stable``: rescaling only triggered points, every few
-    steps, must not change a bit of the output."""
+    ``fun_value_deriv_stable``: rescaling every point to its own binary
+    exponent, every few steps, must not change a bit of the output."""
 
-    @pytest.mark.parametrize("k1,k2", [(20.0, 40.0), (48.0, 16.0),
-                                       (16.0, 48.0)])
-    def test_threshold_independence_bitwise(self, nodes_2049, k1, k2,
-                                            monkeypatch):
-        mids = 0.5 * (nodes_2049[:-1] + nodes_2049[1:])
-        probe = np.concatenate([mids[:-10:16], mids[-10:]])
-        p = LagParams(0.0, 2048)
-        base = np.array(fun_value_deriv_stable(p, mids))
-        base_series = fun_series_stable(p, probe)
-        base_prev = fun_value_deriv_stable(LagParams(0.0, 2047), mids)[0]
-        monkeypatch.setattr(recurrence, "_K1", k1)
-        monkeypatch.setattr(recurrence, "_K2", k2)
-        other = np.array(fun_value_deriv_stable(p, mids))
-        assert other.tobytes() == base.tobytes()
-        assert fun_series_stable(p, probe).tobytes() == base_series.tobytes()
+    @pytest.mark.parametrize("margin", MARGINS)
+    def test_schedule_independence_bitwise(self, nodes_2049, margin,
+                                           default_schedule_outputs,
+                                           monkeypatch):
+        monkeypatch.setattr(recurrence, "_CHECK_MARGIN", margin)
+        got = _schedule_outputs(nodes_2049)
+        assert got == default_schedule_outputs
         # the kernel's L_{n-1}, finalized before its last step, is the
-        # degree-(n-1) value under these thresholds and the default ones
-        prev = recurrence._rescaled_recurrence(0.0, 2048, mids)[2]
-        lower = fun_value_deriv_stable(LagParams(0.0, 2047), mids)[0]
-        assert prev.tobytes() == lower.tobytes() == base_prev.tobytes()
+        # degree-(n-1) value under this schedule
+        assert got[2] == got[3]
 
     @pytest.mark.parametrize("x", [1e4, 1e30, 1e100, 1e140])
     def test_huge_abscissae_stay_finite(self, x):
@@ -450,21 +468,37 @@ class TestRescaledKernel:
                     np.concatenate(ref, axis=-1).tobytes(), (n, route)
 
     @pytest.mark.parametrize("n", [2, 50])
-    @pytest.mark.parametrize("k1,k2", [(20.0, 40.0), (48.0, 16.0),
-                                       (16.0, 48.0)])
-    def test_underflowed_zero_sign_threshold_independent(self, n, k1, k2,
-                                                         monkeypatch):
+    @pytest.mark.parametrize("margin", MARGINS)
+    def test_underflowed_zero_sign_schedule_independent(self, n, margin,
+                                                        monkeypatch):
         # at x = 1e18 every value underflows (q is capped, so exp(-r) is 0);
-        # a zero takes the sign of the iterate, which no threshold changes
+        # a zero takes the sign of the iterate, which no schedule changes
         p = LagParams(0.0, n)
         xs = np.array([1e18])
         base = np.array(fun_value_deriv_stable(p, xs))
         base_series = fun_series_stable(p, xs)
-        monkeypatch.setattr(recurrence, "_K1", k1)
-        monkeypatch.setattr(recurrence, "_K2", k2)
+        monkeypatch.setattr(recurrence, "_CHECK_MARGIN", margin)
         assert np.array(fun_value_deriv_stable(p, xs)).tobytes() \
             == base.tobytes()
         assert fun_series_stable(p, xs).tobytes() == base_series.tobytes()
+
+    @pytest.mark.parametrize("alpha,n,xs", [
+        (200.0, 4096, [50.0, 20000.0]), (300.0, 2048, [3000.0]),
+        (500.0, 4096, [300.0])])
+    def test_overflowing_value_spares_the_others(self, alpha, n, xs, hp_ctx):
+        # exp(-x/2) L_n(x) at x = 1 is past the double range here (about
+        # e^813 at alpha 200, n 4096): it comes out as +inf without a
+        # warning, as an underflowed value comes out as a zero, and the
+        # abscissae in the same call keep their values
+        p = LagParams(alpha, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val, _ = fun_value_deriv_stable(p, [1.0] + xs)
+            series = fun_series_stable(p, [1.0] + xs)
+        assert val[0] == np.inf
+        assert series[-1].tobytes() == val.tobytes()
+        ref = [float(hp_eval(hp_ctx, alpha, n, x)[1]) for x in xs]
+        np.testing.assert_allclose(val[1:], ref, rtol=1e-13, atol=0.0)
 
     @staticmethod
     def _rows_xs(huge=True):
@@ -476,7 +510,7 @@ class TestRescaledKernel:
     # check at k (made before step k+1) finalizes rows up to k + 1, and a
     # block also ends once 16 rows wait.  With 1e30 the checks come every 9
     # steps, so they end the blocks (1|2, 10|11, 19|20, 28|29, 37|38); over
-    # the 201-point nodes alone they come every 96, so after 1|2 the row cap
+    # the 201-point nodes alone they come every 101, so after 1|2 the row cap
     # does (17|18, 33|34).  Degrees 0 and 1 are finalized on their own.
     @pytest.mark.parametrize("a", [0.0, 0.5, 3.7])
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 10, 11, 12, 15, 16, 17, 18,
@@ -531,7 +565,7 @@ class TestRescaledKernel:
     def test_series_memory_near_result_size(self):
         # a memory count, not a timing: finalizing must not make another
         # full-size array per temporary.  At n = 512 the checks come every
-        # 71 steps over the nodes and every 582 over [0, 1], so the second
+        # 74 steps over the nodes and every 611 over [0, 1], so the second
         # set holds the 16-row cap on the finalized blocks
         for xs in (gauss_rule(0.0, 2050).nodes, np.linspace(0.0, 1.0, 2051)):
             fun_series_stable(LagParams(0.0, 8), xs)  # one-off allocations

@@ -405,6 +405,32 @@ class TestErrorNorms:
         with pytest.raises(ValueError):
             error_norms(sol)
 
+    @pytest.mark.parametrize("field", ["u_exact", "u_exact_prime"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_nonfinite_exact_sample_names_its_node(self, field, bad):
+        # an l2 of inf, or an H1 NaN that reads as "no derivative", would
+        # hide where the exact solution is not finite
+        case = make_case("u1")
+        exact = getattr(case.problem, field)
+
+        def spoilt(x):
+            v = np.array(exact(x), dtype=float)
+            v[x > 3.0] = bad
+            return v
+
+        prob = dataclasses.replace(case.problem, **{field: spoilt})
+        sol = solve(prob, 8, 16, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError) as err:
+                error_norms(sol)
+        assert str(err.value).startswith(f"{field} non-finite at node x = ")
+        x = float(str(err.value).rsplit(" ", 1)[1])
+        assert x > 3.0 and x in gauss_rule(0.0, 34).nodes
+        cell = beta_sweep(prob, [8], [1.0])[0]
+        assert cell["error"] == str(err.value)
+        assert cell["l2_error"] is None and cell["h1_error"] is None
+
     def test_report_type_and_echo(self):
         case = make_case("u1")
         sol = solve(case.problem, 16, 32, 2.0)

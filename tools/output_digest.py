@@ -18,7 +18,8 @@ N=2048 (whose final interior nodes miss Newton's table) and at alpha -0.5,
 the N=1024 solve of acceptance criterion 6 and its derivative evaluated at
 the 4099 nodes of its norm rule, the stable kernel's series and
 value/derivative (array and scalar) at abscissae from 0 and the smallest
-subnormal up to 1.7e308, and the exact bytes and exit codes of CLI runs.
+subnormal up to 1.7e308 and, at degree 4096, over 401 abscissae from 0 to
+1e5, and the exact bytes and exit codes of CLI runs.
 Floats enter the hash as their IEEE bytes (``float.hex``), arrays as
 ``tobytes()``.
 Only the standard library and lagspec are used; ``lagspec`` is imported
@@ -66,6 +67,10 @@ RULES = ([(a, N, k) for a, N in ((0.0, 120), (1.5, 300)) for k in (_G, _R)]
 # the kernel at its edges: zero, subnormal, tiny, moderate and huge x
 KERNEL_X = [0.0, 5e-324, 1e-300, 0.5, 2.0, 1e4, 1e30, 1e150, 1e200, 1.7e308]
 KERNEL_PARAMS = [(0.0, 2), (2.5, 40), (150.0, 1000)]
+# degree 4096 over [0, 1e5]: values far above 1 (up to 1.9e280 at alpha
+# 150), so the iterates' total rescale exceeds the weight's exponent x/2
+WIDE_X = [250.0 * i for i in range(401)]
+WIDE_PARAMS = [(20.0, 4096), (150.0, 4096)]
 
 # the benchmark's ``sweep`` workload without its jitter of the u3 betas
 BENCH_SWEEP_NS = [64, 128, 256, 512]
@@ -153,6 +158,13 @@ def outputs():
         yield f"value_deriv scalar {alpha} {n}", b"".join(
             _fl(v) for x in KERNEL_X
             for v in recurrence.fun_value_deriv_stable(params, x))
+    for alpha, n in WIDE_PARAMS:
+        params = recurrence.LagParams(alpha=alpha, n=n)
+        yield f"series {alpha} {n} wide", recurrence.fun_series_stable(
+            params, WIDE_X).tobytes()
+        yield f"value_deriv {alpha} {n} wide", b"".join(
+            v.tobytes() for v in recurrence.fun_value_deriv_stable(
+                params, WIDE_X))
     for argv in CLI_RUNS:
         yield "cli " + " ".join(argv), _cli(argv)
 
