@@ -3,14 +3,15 @@
 Nodes are seeded and polished by Newton iterations driven by the stable
 function evaluation; a table keeps every abscissa evaluated, final nodes
 included, pads small passes with neighbouring doubles and gives both kinds
-of rule their weights' L_N.  Seeds are the eigenvalues of the tridiagonal
-recurrence matrix below 500 points or for alpha < 0, and O(N) asymptotic
-forms otherwise (``_seeds``).  Eigensolves below 500 rows run dense in
-numpy's LAPACK (O(N^3), 17 ms at 499 rows, scipy's bits); only larger ones
-import scipy.linalg: eigen seeds of 500+ points, trailing blocks at
-21,434+.  Weights come from closed forms with all Gamma ratios kept in log
-space and the squared basis value in function form, so rules with thousands
-of points neither overflow nor lose their weights to premature underflow.
+of rule the derivative their weights take.  Seeds are the eigenvalues of
+the tridiagonal recurrence matrix below 500 points or for alpha < 0, and
+O(N) asymptotic forms otherwise (``_seeds``).  Eigensolves below 500 rows
+run dense in numpy's LAPACK (O(N^3), 17 ms at 499 rows, scipy's bits); only
+larger ones import scipy.linalg: eigen seeds of 500+ points, trailing
+blocks at 21,434+.  Weights come from one closed form with all Gamma ratios
+kept in log space and the derivative as the partial sum ``exp(-x/2) (L_0 +
+.. + L_{n-1})``, which does not cancel at small nodes, so rules with
+thousands of points neither overflow nor lose digits or weights.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .recurrence import LagParams, _value_deriv_prev
+from .recurrence import LagParams, _value_sum
 
 __all__ = [
     "RuleKind",
@@ -172,18 +173,19 @@ def _seeds(alpha: float, N: int) -> np.ndarray:
 def refine_newton(alpha: float, N: int, seeds: np.ndarray) -> np.ndarray:
     """Newton-polish the zeros of the degree-(N+1) polynomial.
 
-    Each node is updated by ``x <- x - L_{N+1}(x) / L_{N+1}'(x)`` with the
-    ratio evaluated through the rescaled function recurrence (the common
-    exponential scale cancels).  Iteration stops once every node's step is
-    at most ``4 eps x``, or after 10 iterations.  A node that leaves the
-    bracket formed by its neighbouring seed midpoints is reset to its seed
-    and reported via a warning; an iterate due for evaluation that is no
-    abscissa (NaN where ``exp(-x/2) L`` underflows) is an ArithmeticError.
+    Each node is updated by ``x <- x - L_{N+1}(x) / L_{N+1}'(x)``, with
+    ``-L_{N+1}' = L_0 + .. + L_N`` and both through the rescaled function
+    recurrence (the common exponential scale cancels).  Iteration stops once
+    every node's step is at most ``4 eps x``, or after 10 iterations.  A
+    node that leaves the bracket formed by its neighbouring seed midpoints
+    is reset to its seed and reported via a warning; an iterate due for
+    evaluation that is no abscissa (NaN where ``exp(-x/2) L`` underflows)
+    is an ArithmeticError.
 
     A step is a pointwise, deterministic map (the recurrence rescales by
     exact powers of two and takes them back out exactly), so each abscissa
     evaluated goes into a table with its next iterate, step test and
-    ``exp(-x/2)`` times L_{N+1} and L_N, and is never evaluated again: a
+    ``exp(-x/2)`` times that partial sum, and is never evaluated again: a
     cycle between neighbouring doubles costs nothing once in the table.  A
     last pass evaluates the final nodes it lacks; the passes in between also
     evaluate the doubles within m ulps of their abscissae, where later
@@ -194,8 +196,8 @@ def refine_newton(alpha: float, N: int, seeds: np.ndarray) -> np.ndarray:
 
 
 def _newton(alpha: float, N: int, seeds: np.ndarray):
-    """``refine_newton``'s nodes and ``exp(-x/2)`` times L_{N+1} and L_N at
-    each, from its table."""
+    """``refine_newton``'s nodes and ``exp(-x/2) (L_0 + .. + L_N)`` at each,
+    from its table."""
     seeds = np.asarray(seeds, dtype=float)
     if not (seeds.ndim == 1 and seeds.size and np.all(np.isfinite(seeds))
             and np.all(seeds > 0) and np.all(np.diff(seeds) > 0)):
@@ -206,8 +208,8 @@ def _newton(alpha: float, N: int, seeds: np.ndarray):
                            [seeds[-1] * 2.0 + 1.0]))
 
     # one column per abscissa evaluated, sorted by it: the abscissa, its
-    # next iterate, its step test (1.0 passed), exp(-x/2) L_{N+1} and L_N
-    tab, x, last = np.empty((5, 0)), seeds, False
+    # next iterate, its step test (1.0 passed) and exp(-x/2) (L_0 + .. + L_N)
+    tab, x, last = np.empty((4, 0)), seeds, False
     for k in range(_NEWTON_MAX_ITERS + 1):
         pts = _unseen(x, tab[0])
         if pts.size:
@@ -218,16 +220,15 @@ def _newton(alpha: float, N: int, seeds: np.ndarray):
             if k and m > 0 and not last:
                 near = pts + np.arange(-m, m + 1)[:, None] * np.spacing(pts)
                 pts = _unseen(np.maximum(near, 0.0).ravel(), tab[0])
-            val, der, prev = _value_deriv_prev(alpha, N + 1, pts)
-            # L / L' = Lhat / (Lhat' + Lhat / 2): the exp(-x/2) scale cancels
-            step = val / (der + 0.5 * val)
+            val, S, _ = _value_sum(alpha, N + 1, pts)
+            step = val / -S  # L / L': the exp(-x/2) scale cancels
             tab = np.concatenate((tab, [
                 pts, pts - step, np.abs(step) <= _NEWTON_REL_STEP_TOL * pts,
-                val, prev]), axis=1)
+                S]), axis=1)
             tab = tab[:, np.argsort(tab[0])]
         i = np.searchsorted(tab[0], x)
         if last:
-            return x, tab[3, i], tab[4, i]
+            return x, tab[3, i]
         x, last = tab[1, i], tab[2, i].all() or k + 1 == _NEWTON_MAX_ITERS
         escaped = (x <= ends[:-1]) | (x >= ends[1:])
         if last and np.any(escaped):
@@ -244,14 +245,14 @@ def _unseen(v: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _rule(alpha: float, N: int, kind: RuleKind) -> GaussRule:
-    """Either kind of rule: ``_seeds``, ``_newton`` and the closed form of
-    its weights, with exp(-x/2) L_N from Newton's last pass."""
+    """Either kind of rule: ``_seeds`` and ``_newton`` at the zeros of
+    L^(a)_n, and one closed form of the weights in Newton's partial sum."""
     LagParams(alpha=alpha, n=N)  # the check of (alpha, N)
     radau = kind is RuleKind.GAUSS_RADAU
     if radau and N < 1:
         raise ValueError("Gauss-Radau rule needs N >= 1")
-    a = alpha + 1.0 if radau else alpha  # Radau's interior family
-    nodes, val, prev = _newton(a, N - radau, _seeds(a, N - radau))
+    n, a = N + 1 - radau, alpha + radau  # Radau's interior family
+    nodes, S = _newton(a, n - 1, _seeds(a, n - 1))
     if radau:
         try:
             w0 = math.exp(math.log(alpha + 1.0) + 2.0 * math.lgamma(
@@ -260,14 +261,10 @@ def _rule(alpha: float, N: int, kind: RuleKind) -> GaussRule:
         except OverflowError:
             raise ArithmeticError("Gauss-Radau weight w0 at the origin leaves "
                                   "the double range") from None
-        # L^(alpha)_N = L^(alpha+1)_N - L^(alpha+1)_{N-1} (DLMF 18.9)
-        log_fun_w = (math.lgamma(N + alpha + 1.0) - math.lgamma(N + 1.0)
-                     - math.log(N + alpha + 1.0)
-                     - 2.0 * np.log(np.abs(val - prev)))
-    else:
-        log_fun_w = (math.lgamma(N + alpha + 1.0) - math.log(N + alpha + 1.0)
-                     - math.lgamma(N + 2.0) + np.log(nodes)
-                     - 2.0 * np.log(np.abs(prev)))
+    # x L' = -(n+a) L^(a)_{n-1} at a zero of L^(a)_n (DLMF 18.9.14)
+    log_fun_w = (math.lgamma(n + alpha + 1.0) - math.lgamma(n + 1.0)
+                 + radau * math.log(n + a) - (1 + radau) * np.log(nodes)
+                 - 2.0 * np.log(np.abs(S)))
     fun_w = np.exp(log_fun_w)
     if not np.all((fun_w > 0) & (fun_w < np.inf)):
         raise ArithmeticError(f"{'Gauss-Radau' if radau else 'Gauss'} rule "
@@ -284,11 +281,11 @@ def gauss_rule(alpha: float, N: int) -> GaussRule:
     """(N+1)-point Gauss rule: nodes are the zeros of the degree-(N+1)
     polynomial, weights from the closed form
 
-        w_j = [Gamma(N+alpha+1) / ((N+alpha+1) (N+1)!)] x_j / L_N(x_j)^2
+        w_j = [Gamma(N+alpha+2) / (N+1)!] / (x_j L_{N+1}'(x_j)^2)
 
-    assembled as ``exp(log-ratio + log x_j - x_j - 2 log|Lhat_N(x_j)|)``
-    with the function value ``Lhat_N = exp(-x/2) L_N`` which stays O(1) at
-    the nodes for any N, from Newton's pass at each final node.
+    assembled as ``exp(log-ratio - log x_j - x_j - 2 log|S(x_j)|)`` with
+    ``S = exp(-x/2) (L_0 + .. + L_N) = -exp(-x/2) L_{N+1}'``, which stays
+    O(1) at the nodes for any N, from Newton's pass at each final node.
     """
     return _rule(alpha, N, RuleKind.GAUSS)
 
@@ -299,8 +296,9 @@ def gauss_radau_rule(alpha: float, N: int) -> GaussRule:
     The interior nodes are the zeros of the derivative of the
     degree-(N+1) polynomial, which coincide with the degree-N Gauss nodes
     of the (alpha+1) family, and are found as those.  Their weights
-    ``Gamma(N+alpha+1) / ((N+alpha+1) N! L_N(x_j)^2)`` take ``Lhat_N`` as
-    that family's degree-N minus degree-(N-1) value from Newton's pass.
+    ``Gamma(N+alpha+1) / ((N+alpha+1) N! L_N(x_j)^2)`` take ``L_N(x_j) =
+    x_j L^(alpha+1)_N'(x_j) / (N+alpha+1)`` from Newton's pass, as the Gauss
+    weights take their derivative.
     """
     return _rule(alpha, N, RuleKind.GAUSS_RADAU)
 

@@ -217,9 +217,10 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
     ``exp(-x/2) L_k``, finalizing the rows made since the last block before
     a check can change ``M`` and once ``_FINALIZE_ROWS`` wait, so the
     finalizer's temporaries stay block-sized.  Without ``out`` (``n >= 2``)
-    returns ``exp(-x/2)`` times ``L_n``, ``L_0 + .. + L_{n-1}`` and
-    ``L_{n-1}``, the last finalized before the last step (bitwise the
-    degree-``(n-1)`` value, as rescaling is exact).
+    returns ``exp(-x/2)`` times ``L_n``, the partial sum ``S = L_0 + .. +
+    L_{n-1} = -L_n'`` and ``L_n' - L_n/2``, the last two formed on the
+    scaled iterates, so where value and sum overflow the derivative is a
+    signed infinity, not NaN.
     """
     # A rescale is an exact power of two and finalizing takes it back out
     # exactly, so checking every K steps changes no result as long as nothing
@@ -243,8 +244,6 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
         out[0] = 1.0
     # k = 0 makes no step: x L_1 overflows unless L_1 is rescaled first
     for k in range(n):
-        if k == n - 1 and out is None:
-            prev = _finalize(L, M, red)
         if k:
             dL *= k + alpha
             dL -= np.multiply(xs, L, out=tmp)
@@ -267,7 +266,9 @@ def _rescaled_recurrence(alpha: float, n: int, xs: np.ndarray,
     if not all(np.isfinite(v).all() for v in (L,) + sums):
         raise ArithmeticError("non-finite intermediate in rescaled recurrence")
     if out is None:
-        return _finalize(L, M, red), _finalize(S - L, M, red), prev
+        S -= L
+        return (_finalize(L, M, red), _finalize(S, M, red),
+                _finalize(-S - 0.5 * L, M, red))
     _finalize(out[done:], M, red, out[done:])
 
 
@@ -294,36 +295,32 @@ def fun_value_deriv_stable(params: LagParams, x):
     Returns ``(exp(-x/2) L_n(x), d/dx [exp(-x/2) L_n(x)])`` for scalar or
     array ``x``.  The derivative uses the partial-sum identity
     ``L_n' = -(L_0 + ... + L_{n-1})`` with the running sum rescaled in
-    lockstep with the iterate, so the ratio value/derivative stays accurate
-    for Newton refinement of quadrature nodes.
+    lockstep with the iterate and combined with it before the prefactor,
+    so where it leaves the double range it is a signed infinity, not NaN.
     """
     shape = np.shape(x)
-    val, der, _ = _value_deriv_prev(params.alpha, params.n,
-                                    np.ravel(_abscissae(x)))
+    val, _, der = _value_sum(params.alpha, params.n, np.ravel(_abscissae(x)))
     return val.reshape(shape)[()], der.reshape(shape)[()]
 
 
-def _value_deriv_prev(alpha: float, n: int, xs: np.ndarray):
-    """``fun_value_deriv_stable`` at 1-D ``xs`` and ``exp(-x/2) L_{n-1}``,
-    bitwise the degree-(n-1) value (0 for n = 0)."""
+def _value_sum(alpha: float, n: int, xs: np.ndarray):
+    """``exp(-x/2)`` times ``L_n``, ``S = L_0 + .. + L_{n-1}`` and
+    ``L_n' - L_n/2`` at 1-D ``xs``; S is 0 for n = 0."""
     if n <= 1:  # L_0 = 1, L_1 and L_1' - L_1/2, as the kernel finalizes
         red = _reduce(xs)
         w, val, der = (_finalize(v, 0, red) for v in (
             1.0, 1.0 + alpha - xs, -0.5 * (alpha + 3.0 - xs)))
-        return (w, -0.5 * w, 0.0 * w) if n == 0 else (val, der, w)
+        return (w, 0.0 * w, -0.5 * w) if n == 0 else (val, w, der)
     # one abscissa runs as two copies: 9.1 vs 4.8 ms at degree 1000
-    val, part, prev = (v[:xs.size] for v in _rescaled_recurrence(
+    return tuple(v[:xs.size] for v in _rescaled_recurrence(
         alpha, n, np.repeat(xs, 2) if xs.size == 1 else xs))
-    # exp(-x/2) L_n' = -part; the prefactor's product rule adds -val/2
-    return val, -part - 0.5 * val, prev
 
 
 def eval_fun_derivative(params: LagParams, x) -> np.ndarray:
     """Derivative series of the Laguerre functions at ``x``.
 
-    d/dx [exp(-x/2) L_{k+1}] = previous - half the two neighbouring
-    function values; the function values themselves come from the stable
-    series.
+    d/dx [exp(-x/2) L_{k+1}] = the degree-k derivative minus the mean of
+    the degree-k and -(k+1) function values, from the stable series.
     """
     values = fun_series_stable(params, x)
     derivs = np.empty_like(values)

@@ -21,7 +21,6 @@ from lagspec.quadrature import (
     nodes_eigen_seed,
     refine_newton,
 )
-from lagspec.recurrence import LagParams, fun_value_deriv_stable
 
 # the seeded alpha of the benchmark's last rule (seed 1): its nodes cycle
 # with period 4
@@ -31,11 +30,10 @@ BENCH_ALPHA = 0.7015463661686019
 def _plain_newton(alpha, N, seeds):
     """Newton polish that evaluates every node on every iteration, the
     loop ``refine_newton`` must match bit for bit."""
-    params = LagParams(alpha=alpha, n=N + 1)
     x = np.asarray(seeds, dtype=float).copy()
     for _ in range(quadrature._NEWTON_MAX_ITERS):
-        val, der = fun_value_deriv_stable(params, x)
-        step = val / (der + 0.5 * val)
+        val, S, _ = recurrence._value_sum(alpha, N + 1, x)
+        step = val / -S
         x_new = x - step
         if np.all(np.abs(step) <= quadrature._NEWTON_REL_STEP_TOL * x):
             x = x_new
@@ -47,26 +45,40 @@ def _plain_newton(alpha, N, seeds):
 def _plain_rule(alpha, N, kind):
     """Nodes, weights and function weights from ``_plain_newton`` and one
     plain weight pass at its nodes, the bytes a rule must match."""
-    # Radau's interior nodes are the (alpha+1, N-1) Gauss nodes
+    # the nodes are the zeros of L^(a)_n: Radau's interior nodes are the
+    # (alpha+1, N-1) Gauss nodes
     radau = kind is RuleKind.GAUSS_RADAU
-    x = _plain_newton(alpha + radau, N - radau,
-                      quadrature._seeds(alpha + radau, N - radau))
-    if kind is RuleKind.GAUSS:
-        lhat, _ = fun_value_deriv_stable(LagParams(alpha=alpha, n=N), x)
-        log_fun_w = (math.lgamma(N + alpha + 1.0) - math.log(N + alpha + 1.0)
-                     - math.lgamma(N + 2.0) + np.log(x)
-                     - 2.0 * np.log(np.abs(lhat)))
-        return b"".join(v.tobytes() for v in (
-            x, np.exp(log_fun_w - x), np.exp(log_fun_w)))
-    # L^(alpha)_N = L^(alpha+1)_N - L^(alpha+1)_{N-1} from one plain pass
-    val, _, prev = recurrence._value_deriv_prev(alpha + 1.0, N, x)
-    lhat = val - prev
-    w0 = math.exp(math.log(alpha + 1.0) + 2.0 * math.lgamma(alpha + 1.0)
-                  + math.lgamma(N + 1.0) - math.lgamma(N + alpha + 2.0))
-    log_fun_w = (math.lgamma(N + alpha + 1.0) - math.lgamma(N + 1.0)
-                 - math.log(N + alpha + 1.0) - 2.0 * np.log(np.abs(lhat)))
-    return b"".join(np.concatenate(([v0], v)).tobytes() for v0, v in (
-        (0.0, x), (w0, np.exp(log_fun_w - x)), (w0, np.exp(log_fun_w))))
+    n, a = N + 1 - radau, alpha + radau
+    x = _plain_newton(a, n - 1, quadrature._seeds(a, n - 1))
+    _, S, _ = recurrence._value_sum(a, n, x)
+    log_fun_w = (math.lgamma(n + alpha + 1.0) - math.lgamma(n + 1.0)
+                 + radau * math.log(n + a) - (1 + radau) * np.log(x)
+                 - 2.0 * np.log(np.abs(S)))
+    nodes, w, fun_w = x, np.exp(log_fun_w - x), np.exp(log_fun_w)
+    if radau:
+        w0 = math.exp(math.log(alpha + 1.0) + 2.0 * math.lgamma(alpha + 1.0)
+                      + math.lgamma(N + 1.0) - math.lgamma(N + alpha + 2.0))
+        nodes, w, fun_w = (np.concatenate(([v0], v)) for v0, v in (
+            (0.0, nodes), (w0, w), (w0, fun_w)))
+    return b"".join(v.tobytes() for v in (nodes, w, fun_w))
+
+
+def _exact_fun_weight(alpha, N, kind, node):
+    """The function weight at the zero next to a rule's interior ``node``,
+    at 200 bits: one Newton step on the oracle's series moves the node to
+    the zero of L^(alpha)_{N+1} (Radau: of L^(alpha+1)_N), and the weight
+    is the closed form in L^(alpha)_N,
+    ``Gamma(N+alpha+1) x e^x / ((N+alpha+1) (N+1)! L_N^2)`` for Gauss and
+    ``Gamma(N+alpha+1) e^x / ((N+alpha+1) N! L_N^2)`` for Radau."""
+    radau = kind is RuleKind.GAUSS_RADAU
+    n = N + 1 - radau
+    with mp.workprec(200):
+        x = mp.mpf(float(node))
+        vals = oracle._poly_series_int(mp.mpf(alpha) + radau, n, x)
+        x += oracle._mpf(vals[n]) / oracle._mpf(oracle._sum(vals[:n], mp.prec))
+        LN = oracle._mpf(oracle._poly_series_int(alpha, N, x)[N])
+        return float(mp.gamma(N + alpha + 1) * x ** (1 - radau) * mp.exp(x)
+                     / ((N + alpha + 1) * mp.factorial(n) * LN ** 2))
 
 
 def _assert_matches_plain(alpha, N):
@@ -170,7 +182,7 @@ class TestNewton:
         np.testing.assert_allclose(refine_newton(0.0, 9, seeds[2:6]),
                                    full[2:6], rtol=4e-15)
 
-    # N <= 2 covers the rule whose L_N is L_0 finalized on its own (N = 0)
+    # N <= 2 covers the rule whose S is L_0 finalized on its own (N = 0)
     # and the first ones that read it from a kernel pass
     @pytest.mark.parametrize("alpha, N", [
         (0.0, 2048), (BENCH_ALPHA, 999), (0.0, 2050), (0.0, 999),
@@ -187,7 +199,7 @@ class TestNewton:
     # caps 7 and 9 stop these runs after every node has cycled, at another
     # phase than 10, so they check the step tests read from the table; cap
     # 1 leaves every final node unevaluated, so Newton's last pass makes
-    # all of their weights' L_N
+    # all of their weights' S
     @pytest.mark.parametrize("cap", [1, 2, 7, 9])
     @pytest.mark.parametrize("alpha, N", [(0.0, 2048), (BENCH_ALPHA, 999)])
     def test_bitwise_equal_at_iteration_cap(self, monkeypatch, cap, alpha,
@@ -200,7 +212,7 @@ class TestNewton:
         # all 10 iterations run; the plain loop evaluates 10 x 2049 points
         seeds = nodes_eigen_seed(0.0, 2048)
         expected = _plain_newton(0.0, 2048, seeds)
-        original = quadrature._value_deriv_prev
+        original = quadrature._value_sum
         points = []
 
         def counted(alpha, n, xs):
@@ -208,7 +220,7 @@ class TestNewton:
             return original(alpha, n, xs)
 
         # every Newton pass runs through this name
-        monkeypatch.setattr(quadrature, "_value_deriv_prev", counted)
+        monkeypatch.setattr(quadrature, "_value_sum", counted)
         nodes = refine_newton(0.0, 2048, seeds)
         assert points and sum(points) <= 2.5 * 2049
         assert nodes.tobytes() == expected.tobytes()
@@ -217,7 +229,7 @@ class TestNewton:
         (0.0, 2048, 4), (BENCH_ALPHA, 999, 4), (0.0, 2050, 5)])
     def test_kernel_passes_per_rule(self, kernel_passes, alpha, N, most):
         # only N = 2048 stops at Newton's cap, after 4 passes, with its final
-        # nodes in Newton's table, where the weights take L_N from.  The
+        # nodes in Newton's table, where the weights take S from.  The
         # other two pass their step test after 2 passes, and Newton's last
         # pass evaluates the final nodes that missed the table (47 and 63)
         gauss_rule(alpha, N)
@@ -440,32 +452,34 @@ class TestGaussRule:
     def test_npoints(self):
         assert gauss_rule(0.0, 4).npoints == 5
 
-    # worst relative error over these 13 nodes: 8.3e-13, at the middle node
-    # of the 1024-point rule, where lgamma's error in the weight constant
-    # (about 7e-13 at every node) dominates; the top of the 4099-point rule
-    # read 4.4e-12 when the series took a compensated exponent per cell
+    # worst relative error over these 13 nodes: 3.6e-13, at node 4000 of
+    # the 4099-point rule; the weight constant at alpha = 0 is exactly 0
     @pytest.mark.parametrize("N, idx", [
         (1023, np.round(np.linspace(512, 1023, 10)).astype(int)),
         (4098, [3500, 4000, 4098])])
     def test_fun_weights_against_200_bits(self, N, idx):
-        # the weights at the exact zeros, which Newton on the oracle's
-        # series finds from the rule's nodes; L_N is read from the series
-        # before the last step, which moves x by less than 2^-190 of it
         rule = cached_gauss_rule(0.0, N)
-        with mp.workprec(200):
-            for j in idx:
-                x = mp.mpf(float(rule.nodes[j]))
-                for _ in range(6):
-                    vals = oracle._poly_series_int(0, N + 1, x)
-                    step = oracle._mpf(vals[N + 1]) / -oracle._mpf(
-                        oracle._sum(vals[:N + 1], mp.prec))
-                    x -= step
-                    if abs(step) <= mp.mpf(2) ** -190 * x:
-                        break
-                # at alpha = 0 the constant Gamma(N+1)/((N+1) (N+1)!) is
-                # 1/(N+1)^2
-                ref = x * mp.exp(x) / ((N + 1) * oracle._mpf(vals[N])) ** 2
-                assert abs(rule.fun_weights[j] - ref) <= 1e-12 * ref, j
+        for j in idx:
+            ref = _exact_fun_weight(0.0, N, RuleKind.GAUSS, rule.nodes[j])
+            assert abs(rule.fun_weights[j] - ref) <= 1e-12 * ref, j
+
+    # the three smallest nodes of the alpha = 0 rules, where L_N cancels
+    # and S does not, node 0 at alpha != 0, where the lgamma constant
+    # dominates, and both kinds' smallest, middle and top nodes
+    @pytest.mark.parametrize("alpha, N, kind, idx, bound", [
+        (0.0, 2048, RuleKind.GAUSS, [0, 1, 2], 1e-14),
+        (0.0, 4098, RuleKind.GAUSS, [0, 1, 2], 1e-14),
+        (0.0, 2048, RuleKind.GAUSS, [1024, 2048], 2e-12),
+        (-0.5, 2048, RuleKind.GAUSS, [0], 1e-12),
+        (20.0, 2048, RuleKind.GAUSS, [0], 1e-12),
+        (BENCH_ALPHA, 999, RuleKind.GAUSS, [0], 1e-12),
+        (0.0, 4098, RuleKind.GAUSS_RADAU, [1, 2, 3, 2049, 4098], 2e-12),
+        (BENCH_ALPHA, 999, RuleKind.GAUSS_RADAU, [1, 2, 500, 999], 2e-12)])
+    def test_fun_weights_at_exact_zeros(self, alpha, N, kind, idx, bound):
+        rule = cached_gauss_rule(alpha, N, kind)
+        for j in idx:
+            ref = _exact_fun_weight(alpha, N, kind, rule.nodes[j])
+            assert abs(rule.fun_weights[j] - ref) <= bound * ref, j
 
     def test_moment_exactness(self):
         # monomial moments: integral of x^k x^alpha e^-x = Gamma(k+alpha+1)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 from scipy.special import eval_genlaguerre
 
-from lagspec import recurrence
+from lagspec import oracle, recurrence
 from lagspec.oracle import hp_eval
 from lagspec.problems import make_case
 from lagspec.quadrature import cached_gauss_rule, gauss_rule
@@ -371,23 +371,25 @@ class TestOnePointPass:
         (0.0, 1000, 3.0), (2.5, 40, 0.7), (0.0, 3, 1e-300), (150.0, 1000, 1e4),
         (0.7, 2049, 8000.0), (0.0, 2, 5.0)])
     def test_scalar_value_deriv_is_the_unpadded_kernel(self, alpha, n, x):
-        val, part, _ = recurrence._rescaled_recurrence(alpha, n,
-                                                       np.array([x]))
+        val, _, der = recurrence._rescaled_recurrence(alpha, n,
+                                                      np.array([x]))
         got = fun_value_deriv_stable(LagParams(alpha, n), x)
-        assert np.array(got).tobytes() == np.array(
-            [val[0], -part[0] - 0.5 * val[0]]).tobytes()
+        assert np.array(got).tobytes() == np.array([val[0], der[0]]).tobytes()
 
 
 @pytest.mark.parametrize("x", [0.0, 5e-324, 0.7, 1e4])
 @pytest.mark.parametrize("n", [1, 2, 3, 40, 1000])
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 2.5])
 def test_prev_is_the_lower_degree_value(alpha, n, x):
-    # Newton's table and the rule weights read the degree-(n-1) value from
-    # the degree-n pass: L_0 finalized at n = 1, the kernel's iterate before
-    # its last step from there on
-    prev = recurrence._value_deriv_prev(alpha, n, np.array([x]))[2]
+    # the rule weights take the degree-(n-1) value at a zero from the
+    # degree-n pass's partial sum S = -L_n' by x L_n' = n L_n - (n+alpha)
+    # L_{n-1} (DLMF 18.9.14), which holds at every x: within 4 ulps of the
+    # terms' scale (0.71 seen), L_0 finalized on its own at n = 1
+    val, S, _ = recurrence._value_sum(alpha, n, np.array([x]))
+    prev = (n * val[0] + x * S[0]) / (n + alpha)
     lower = fun_value_deriv_stable(LagParams(alpha, n - 1), x)[0]
-    assert prev.tobytes() == np.array([lower]).tobytes()
+    scale = (n * abs(val[0]) + x * abs(S[0])) / (n + alpha)
+    assert abs(prev - lower) <= 4.0 * np.finfo(float).eps * scale
 
 
 # check-interval margins in nats: 32 is the default, 700 leaves no headroom
@@ -435,9 +437,6 @@ class TestRescaledKernel:
         monkeypatch.setattr(recurrence, "_CHECK_MARGIN", margin)
         got = _schedule_outputs(nodes_2049)
         assert got == default_schedule_outputs
-        # the kernel's L_{n-1}, finalized before its last step, is the
-        # degree-(n-1) value under this schedule
-        assert got[2] == got[3]
 
     @pytest.mark.parametrize("x", [1e4, 1e30, 1e100, 1e140])
     def test_huge_abscissae_stay_finite(self, x):
@@ -499,6 +498,25 @@ class TestRescaledKernel:
         assert series[-1].tobytes() == val.tobytes()
         ref = [float(hp_eval(hp_ctx, alpha, n, x)[1]) for x in xs]
         np.testing.assert_allclose(val[1:], ref, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("alpha,n", [(500.0, 4096), (300.0, 2048)])
+    def test_overflowing_derivative_is_a_signed_infinity(self, alpha, n):
+        # past the double range the value and the partial sum overflow
+        # together, from x = 15.3 and 13 with opposite signs, and their
+        # combination must still be a signed infinity, not NaN: that of the
+        # oracle's -(L_0 + .. + L_{n-1}) - L_n/2 at the first, first
+        # positive and last infinite derivative
+        xs = np.linspace(0.0, 60.0, 601)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, der = fun_value_deriv_stable(LagParams(alpha, n), xs)
+        assert not np.isnan(der).any()
+        inf = np.flatnonzero(np.isinf(der))
+        for j in (inf[0], inf[der[inf] > 0][0], inf[-1]):
+            with mp.workprec(200):
+                vals = oracle._poly_series_mpf(alpha, n, mp.mpf(xs[j]))
+                ref = -mp.fsum(vals[:n]) - vals[n] / 2
+            assert np.sign(der[j]) == mp.sign(ref), xs[j]
 
     @staticmethod
     def _rows_xs(huge=True):

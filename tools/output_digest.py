@@ -19,7 +19,9 @@ the N=1024 solve of acceptance criterion 6 and its derivative evaluated at
 the 4099 nodes of its norm rule, the stable kernel's series and
 value/derivative (array and scalar) at abscissae from 0 and the smallest
 subnormal up to 1.7e308 and, at degree 4096, over 401 abscissae from 0 to
-1e5, and the exact bytes and exit codes of CLI runs.
+1e5, the value/derivative at alpha 500 and degree 4096 over 601 abscissae
+from 0 to 60, where both overflow, and the exact bytes and exit codes of
+CLI runs.
 Floats enter the hash as their IEEE bytes (``float.hex``), arrays as
 ``tobytes()``.
 Only the standard library and lagspec are used; ``lagspec`` is imported
@@ -71,6 +73,9 @@ KERNEL_PARAMS = [(0.0, 2), (2.5, 40), (150.0, 1000)]
 # 150), so the iterates' total rescale exceeds the weight's exponent x/2
 WIDE_X = [250.0 * i for i in range(401)]
 WIDE_PARAMS = [(20.0, 4096), (150.0, 4096)]
+# alpha 500, degree 4096 over [0, 60]: every value and derivative is past
+# the double range, the derivatives infinities of both signs, none a NaN
+OVER_X = [0.1 * i for i in range(601)]
 
 # the benchmark's ``sweep`` workload without its jitter of the u3 betas
 BENCH_SWEEP_NS = [64, 128, 256, 512]
@@ -165,6 +170,9 @@ def outputs():
         yield f"value_deriv {alpha} {n} wide", b"".join(
             v.tobytes() for v in recurrence.fun_value_deriv_stable(
                 params, WIDE_X))
+    yield "value_deriv 500.0 4096 over", b"".join(
+        v.tobytes() for v in recurrence.fun_value_deriv_stable(
+            recurrence.LagParams(alpha=500.0, n=4096), OVER_X))
     for argv in CLI_RUNS:
         yield "cli " + " ".join(argv), _cli(argv)
 
