@@ -79,14 +79,15 @@ class SpectralSolution:
 
     def _at(self, x, deriv: bool) -> np.ndarray:
         # x is checked as given; beta x past the double range is clamped to
-        # its top, where every basis row has underflowed already
+        # its top, where every basis row has underflowed already; the
+        # series runs at the raveled x, one column per abscissa
         with np.errstate(over="ignore"):
-            y = np.minimum(self.beta * np.atleast_1d(_abscissae(x)),
+            y = np.minimum(self.beta * np.ravel(_abscissae(x)),
                            np.finfo(float).max)
         lhat = fun_series_stable(LagParams(alpha=0.0, n=self.N), y)
         out = _series_coeffs(self.coeffs, deriv) @ lhat
         out = self.beta * out if deriv else out
-        return out if np.ndim(x) else out[0]
+        return out.reshape(np.shape(x))[()]
 
 
 @dataclass

@@ -15,7 +15,7 @@ import pytest
 import lagspec
 from lagspec import errmodel, oracle, recurrence
 from lagspec.cli import BROKEN_PIPE, NUMERIC_ERROR, USAGE_ERROR, main
-from test_oracle import _mpf_operator_series
+from test_oracle import _exact_series
 
 
 def _run(capsys, *argv):
@@ -31,7 +31,7 @@ def _rows(text):
 @pytest.fixture
 def mp_series_calls(monkeypatch):
     """Degrees of the extended-precision series run while the test runs."""
-    original = oracle._poly_series_int
+    original = oracle._series
     degrees = []
 
     def counted(alpha, n, x):
@@ -39,7 +39,7 @@ def mp_series_calls(monkeypatch):
         return original(alpha, n, x)
 
     # every series, errmodel's mpf one too, runs through this name
-    monkeypatch.setattr(oracle, "_poly_series_int", counted)
+    monkeypatch.setattr(oracle, "_series", counted)
     return degrees
 
 
@@ -137,17 +137,10 @@ class TestCompare:
         assert len(_rows(out)) == 8
         assert sizes == {name: [8] for name in names}
 
-    def test_factor_table_shared_across_nodes(self, capsys, mp_series_calls):
-        oracle._step_factors.cache_clear()
-        code, _ = _run(capsys, "compare", "--n", "8")
-        assert code == 0
-        info = oracle._step_factors.cache_info()
-        assert (info.misses, info.hits) == (1, 7)
-        assert mp_series_calls == [7] * 8
-
 
 class TestOracleSeriesBytes:
-    """CSV output is byte-identical with the mpf-operator recurrence."""
+    """CSV output is byte-identical with the exact series, correctly
+    rounded."""
 
     @pytest.mark.parametrize("argv", [
         ["compare", "--n", "64"],
@@ -161,12 +154,12 @@ class TestOracleSeriesBytes:
         assert main(argv + ["--out", str(default)]) == 0
         calls = []
 
-        def operator_series(a, n, x):
+        def exact_series(a, n, x):
             calls.append(n)
-            return [oracle._pair(v) for v in _mpf_operator_series(a, n, x)]
+            return _exact_series(a, n, x)
 
         # every series, errmodel's mpf one too, runs through this name
-        monkeypatch.setattr(oracle, "_poly_series_int", operator_series)
+        monkeypatch.setattr(oracle, "_series", exact_series)
         assert main(argv + ["--out", str(reference)]) == 0
         assert calls, "the reference series never ran"
         assert default.read_bytes() == reference.read_bytes()
@@ -313,7 +306,8 @@ class TestExitCodes:
         ["solve", "--case", "u3", "--n", "8", "--k", "nan"],
         ["solve", "--case", "u1", "--n", "8", "--r", "nan"],
         ["sweep", "--case", "u3", "--n-list", "8", "--beta-list", "1",
-         "--r", "nan"]])
+         "--r", "nan"],
+        ["errlab", "--x", "0.1", "--eta", "nan"]])
     def test_usage_error_from_bad_input(self, capsys, argv):
         code = main(argv)
         assert code == USAGE_ERROR

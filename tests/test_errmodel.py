@@ -34,6 +34,13 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             _inp(eta=0.0)
 
+    @pytest.mark.parametrize("eta", [0.0, -0.25, math.nan])
+    def test_eta_named_with_its_value(self, eta):
+        # NaN fails "eta > 0" here, before the hypothesis could name it
+        with pytest.raises(ValueError,
+                           match=f"^eta must be positive, got {eta}$"):
+            _inp(eta=eta)
+
     def test_hypothesis_guard(self):
         with pytest.raises(ValueError):
             _inp(alpha=2.0, x=1.0)  # 3 - alpha - x - eta <= 0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_rational, round_nearest
 from scipy.special import eval_genlaguerre, roots_laguerre
 
 from lagspec import oracle
@@ -14,19 +15,46 @@ from lagspec.oracle import (
     hp_eval,
     hp_gauss_nodes_mpf,
 )
-from lagspec.quadrature import nodes_eigen_seed
 
 
-def _mpf_operator_series(alpha, n: int, x):
-    """The three-term recurrence on mpf operators: the bitwise reference
-    for ``_poly_series_mpf``."""
-    values = [mp.mpf(1)]
-    if n >= 1:
-        values.append(alpha + 1 - x)
-    for k in range(1, n):
-        values.append(((2 * k + alpha + 1 - x) * values[k]
-                       - (k + alpha) * values[k - 1]) / (k + 1))
-    return values
+def _exact_series(alpha, n: int, x):
+    """``_series``'s values ``L_0 .. L_n`` and sum ``L_0 + ... + L_{n-1}``,
+    each the exact rational rounded once to ``mp.prec`` bits, to nearest,
+    as ``(m, e)`` pairs: their reference.
+
+    For alpha = A / 2**s and x = X / 2**s, T_k = k! 2**(s k) L_k(x) is an
+    integer: T_0 = 1, T_1 = 2**s + A - X and
+    T_{k+1} = ((2k+1) 2**s + A - X) T_k - k (k 2**s + A) 2**s T_{k-1}.
+    ``from_rational`` divides by k! alone: the power of two is taken out
+    of the numerator first, which it would strip eight bits at a time
+    (seconds at x = 1e-300), and out of the denominator altogether.
+    """
+    (am, ae), (xm, xe) = oracle._pair(alpha), oracle._pair(x)
+    s = max(0, -ae, -xe)
+    d, a, xx = 1 << s, am << (ae + s), xm << (xe + s)
+
+    def rounded(p, f, k):  # p / (f 2**(s k))
+        if not p:
+            return 0, 0
+        v = (p & -p).bit_length() - 1
+        sign, man, exp, _ = from_rational(p >> v, f, mp.prec, round_nearest)
+        return (-man if sign else man), exp + v - s * k
+
+    vals, total = [], (0, 0)
+    prev, t, f, num = 0, 1, 1, 0
+    for k in range(n + 1):
+        vals.append(rounded(t, f, k))
+        num = num * k * d + t  # k! 2**(s k) (L_0 + ... + L_k)
+        if k == n - 1:
+            total = rounded(num, f, k)
+        prev, t = t, (((2 * k + 1) * d + a - xx) * t
+                      - k * (k * d + a) * d * prev)
+        f *= k + 1
+    return vals, total
+
+
+def _rounded(pairs):
+    return [oracle._mpf(v)._mpf_ for v in pairs]
 
 
 class TestContext:
@@ -70,27 +98,9 @@ class TestValues:
         assert a == b
 
 
-def _mpf_operator_nodes(ctx, alpha, N: int):
-    """``hp_gauss_nodes_mpf``'s Newton iteration on mpf operators, with the
-    derivative as ``-sum`` of the series: its bitwise reference."""
-    with mp.workdps(ctx.digits + 10):
-        a, tol = mp.mpf(alpha), mp.mpf(10) ** (2 - ctx.digits)
-        out = []
-        for seed in nodes_eigen_seed(float(alpha), N):
-            x = mp.mpf(float(seed))
-            for _ in range(60):
-                vals = _mpf_operator_series(a, N + 1, x)
-                step = vals[N + 1] / -sum(vals[:N + 1])
-                x = x - step
-                if abs(step) <= tol * x:
-                    break
-            out.append(x)
-        return out
-
-
 class TestBitwiseSeries:
-    """The int-mantissa series equals the mpf-operator one, tuple for
-    tuple."""
+    """Every value and sum of the guard-bit series is the exact one,
+    correctly rounded: tuple for tuple against ``_exact_series``."""
 
     ALPHAS = [0.0, 0.5, 0.7015463661686019, 1e-9, 3.3, -0.5]
     DEGREES = [0, 1, 2, 255]
@@ -102,68 +112,63 @@ class TestBitwiseSeries:
         with mp.workdps(80):
             return mp.mpf(num) / den
 
-    def _check(self, alpha, n, digits):
-        with mp.workdps(digits):
-            a = mp.mpf(alpha)
-            for x in [mp.mpf(v) for v in self.XS] + [self._wide(10, 3)]:
-                got = _poly_series_mpf(a, n, x)
-                ref = _mpf_operator_series(a, n, x)
-                assert [v._mpf_ for v in got] == [v._mpf_ for v in ref], (
-                    alpha, n, digits, x)
+    @staticmethod
+    def _same(alpha, n, x):
+        got, got_sum = oracle._series(alpha, n, x)
+        ref, ref_sum = _exact_series(alpha, n, x)
+        return _rounded(got + [got_sum]) == _rounded(ref + [ref_sum])
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("n", DEGREES)
     def test_matches_mpf_operators(self, alpha, n):
-        # 24, 30 and 64 digits, then 24 again, in one process: a factor
-        # table cached at one precision must not serve the other
-        oracle._step_factors.cache_clear()
-        for digits in (24, 30, 64, 24):
-            self._check(alpha, n, digits)
+        for digits in (24, 30, 64):
+            with mp.workdps(digits):
+                a = mp.mpf(alpha)
+                for x in [mp.mpf(v) for v in self.XS] + [self._wide(10, 3)]:
+                    assert self._same(a, n, x), (alpha, n, digits, x)
 
     @pytest.mark.parametrize("prec", [4, 5, 8, 13, 53])
     def test_matches_mpf_operators_at_low_precision(self, prec):
-        # at a few bits, half-way ties and carries to 2**prec are common;
-        # the inputs carry 53 bits, so the factors round as well
+        # at a few bits, values near half-way are common; the inputs carry
+        # 53 bits, more than the precision
         rng = np.random.default_rng(prec)
         with mp.workprec(53):
             alphas = [mp.mpf(float(v)) for v in rng.uniform(-0.99, 4.0, 20)]
             dyadic = [mp.mpf(int(m)) / 2 ** int(j) for m, j in zip(
                 rng.integers(1, 2000, 40), rng.integers(0, 8, 40))]
+        with mp.workprec(60):
+            ones = [a + 1 for a in alphas]  # exact
         with mp.workprec(prec):
             for i, a in enumerate(alphas):
-                for x in dyadic[2 * i:2 * i + 2] + [a + 1]:
-                    got = [v._mpf_ for v in _poly_series_mpf(a, 40, x)]
-                    ref = [v._mpf_ for v in _mpf_operator_series(a, 40, x)]
-                    assert got == ref, (prec, a, x)
-                # x = alpha + 1 at this precision makes L_1 exactly 0
-                assert got[1] == ref[1] == (0, 0, 0, 0)
+                for x in dyadic[2 * i:2 * i + 2] + [ones[i]]:
+                    assert self._same(a, 40, x), (prec, a, x)
+                # x = alpha + 1 makes L_1 exactly 0
+                assert _rounded(oracle._series(a, 1, ones[i])[0])[1] == (
+                    0, 0, 0, 0)
 
     @pytest.mark.parametrize("prec", [4, 5, 8, 13, 53, 113])
     def test_newton_sum_matches_mpf_sum(self, prec):
-        # the Newton derivative's sum: a node hardly feels its last bits,
-        # so it is compared with mpf's sum directly, over series whose
-        # terms change sign and span many binades
+        # the Newton derivative's sum, over series whose terms change
+        # sign and span many binades
         rng = np.random.default_rng(prec)
         with mp.workprec(prec):
             for a, x in zip(rng.uniform(-0.99, 4.0, 12),
                             rng.uniform(0.0, 60.0, 12)):
-                vals = _mpf_operator_series(mp.mpf(a), 40, mp.mpf(x))
-                got = oracle._sum([oracle._pair(v) for v in vals], prec)
-                assert oracle._mpf(got)._mpf_ == sum(vals)._mpf_, (a, x)
+                a, x = mp.mpf(a), mp.mpf(x)
+                got = oracle._series(a, 40, x)[1]
+                assert _rounded([got]) == _rounded(
+                    [_exact_series(a, 40, x)[1]]), (a, x)
 
     @pytest.mark.parametrize("digits", [24, 64])
     def test_wide_inputs_are_not_rounded_first(self, digits):
-        # with alpha wider than mp.prec, 2*k + alpha rounds, so the
-        # factor 2k+alpha+1 shows whether it was rounded once or twice
+        # alpha and x wider than mp.prec enter the series with every bit
         with mp.workdps(digits):
             a, x = self._wide(10, 7), self._wide(10, 3)
-            got = [v._mpf_ for v in _poly_series_mpf(a, 255, x)]
-            ref = [v._mpf_ for v in _mpf_operator_series(a, 255, x)]
-            assert got == ref
+            assert self._same(a, 255, x)
             # unary plus rounds to mp.prec: the extra bits do matter
+            got = _rounded(oracle._series(a, 255, x)[0])
             for ra, rx in ((+a, x), (a, +x)):
-                assert got != [v._mpf_
-                               for v in _mpf_operator_series(ra, 255, rx)]
+                assert got != _rounded(_exact_series(ra, 255, rx)[0])
 
 
 class TestInputs:
@@ -195,9 +200,13 @@ class TestInputs:
 
 class TestNodes:
     @pytest.mark.parametrize("alpha, N", [(0.0, 15), (0.5, 40), (0.0, 64)])
-    def test_matches_mpf_operators(self, hp_ctx, alpha, N):
+    def test_matches_mpf_operators(self, hp_ctx, alpha, N, monkeypatch):
+        # the nodes of Newton on exact values, correctly rounded; L_{N+1}
+        # cancels near a node far past the guard bits, but its error stays
+        # far below the node's last place
         got = hp_gauss_nodes_mpf(hp_ctx, alpha, N)
-        ref = _mpf_operator_nodes(hp_ctx, alpha, N)
+        monkeypatch.setattr(oracle, "_series", _exact_series)
+        ref = hp_gauss_nodes_mpf(hp_ctx, alpha, N)
         assert [v._mpf_ for v in got] == [v._mpf_ for v in ref]
 
     def test_small_rule_matches_scipy(self, hp_ctx):

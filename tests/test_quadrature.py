@@ -74,9 +74,9 @@ def _exact_fun_weight(alpha, N, kind, node):
     n = N + 1 - radau
     with mp.workprec(200):
         x = mp.mpf(float(node))
-        vals = oracle._poly_series_int(mp.mpf(alpha) + radau, n, x)
-        x += oracle._mpf(vals[n]) / oracle._mpf(oracle._sum(vals[:n], mp.prec))
-        LN = oracle._mpf(oracle._poly_series_int(alpha, N, x)[N])
+        vals, total = oracle._series(mp.mpf(alpha) + radau, n, x)
+        x += oracle._mpf(vals[n]) / oracle._mpf(total)
+        LN = oracle._mpf(oracle._series(alpha, N, x)[0][N])
         return float(mp.gamma(N + alpha + 1) * x ** (1 - radau) * mp.exp(x)
                      / ((N + alpha + 1) * mp.factorial(n) * LN ** 2))
 
@@ -594,13 +594,12 @@ class TestRadauRule:
             for j in idx:
                 x = mp.mpf(float(rule.nodes[j]))
                 for _ in range(6):
-                    vals = oracle._poly_series_int(a + 1, N, x)
-                    step = oracle._mpf(vals[N]) / -oracle._mpf(
-                        oracle._sum(vals[:N], mp.prec))
+                    vals, total = oracle._series(a + 1, N, x)
+                    step = oracle._mpf(vals[N]) / -oracle._mpf(total)
                     x -= step
                     if abs(step) <= mp.mpf(10) ** -43 * x:
                         break
-                ln = oracle._mpf(oracle._poly_series_int(a, N, x)[N])
+                ln = oracle._mpf(oracle._series(a, N, x)[0][N])
                 ref = c * mp.exp(x) / ln ** 2
                 assert abs(rule.fun_weights[j] - ref) <= bound * ref
 

@@ -274,6 +274,21 @@ class TestRhsAndSolve:
         fd = (sol.evaluate(0.5 + h) - sol.evaluate(0.5 - h)) / (2 * h)
         assert darr[0] == pytest.approx(fd, rel=1e-6)
 
+    @pytest.mark.parametrize("shape", [(9, 2), (2, 3), (1, 1, 4)])
+    def test_evaluate_keeps_the_shape_of_x(self, shape):
+        # x of any shape is evaluated at its raveled values: bitwise the
+        # 1-d call, and each entry the scalar call's value to the last
+        # bits, which the product takes from its column count
+        sol = solve(make_case("u1").problem, 8, None, 1.0)
+        x = np.linspace(0.1, 3.0, math.prod(shape)).reshape(shape)
+        for at in (sol.evaluate, sol.evaluate_deriv):
+            got = at(x)
+            assert got.shape == shape
+            assert got.tobytes() == at(x.ravel()).tobytes()
+            np.testing.assert_allclose(
+                got.ravel(), [at(v) for v in x.ravel()], rtol=1e-15,
+                atol=1e-16)
+
     @pytest.mark.parametrize("deriv", [False, True])
     def test_evaluate_where_beta_x_overflows(self, deriv):
         # beta x = 2e308 is clamped to the top double, where every basis

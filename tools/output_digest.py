@@ -20,8 +20,9 @@ the 4099 nodes of its norm rule, the stable kernel's series and
 value/derivative (array and scalar) at abscissae from 0 and the smallest
 subnormal up to 1.7e308 and, at degree 4096, over 401 abscissae from 0 to
 1e5, the value/derivative at alpha 500 and degree 4096 over 601 abscissae
-from 0 to 60, where both overflow, and the exact bytes and exit codes of
-CLI runs.
+from 0 to 60, where both overflow, the oracle's 24-digit nodes of the
+64-point Gauss rule at alpha 0 (their mpf tuples), and the exact bytes and
+exit codes of CLI runs.
 Floats enter the hash as their IEEE bytes (``float.hex``), arrays as
 ``tobytes()``.
 Only the standard library and lagspec are used; ``lagspec`` is imported
@@ -42,7 +43,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lagspec import (  # noqa: E402
-    cli, problems, quadrature, recurrence, spectral)
+    cli, oracle, problems, quadrature, recurrence, spectral)
 
 CASES = {"u1": problems.make_case("u1", k=2.0, gamma=2.0).problem,
          "u2": problems.make_case("u2", r=2.5, gamma=2.0).problem,
@@ -173,6 +174,8 @@ def outputs():
     yield "value_deriv 500.0 4096 over", b"".join(
         v.tobytes() for v in recurrence.fun_value_deriv_stable(
             recurrence.LagParams(alpha=500.0, n=4096), OVER_X))
+    yield "oracle nodes 0.0 63", repr([v._mpf_ for v in (
+        oracle.hp_gauss_nodes_mpf(oracle.HpContext(24), 0.0, 63))]).encode()
     for argv in CLI_RUNS:
         yield "cli " + " ".join(argv), _cli(argv)
 
