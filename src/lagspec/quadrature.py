@@ -1,17 +1,17 @@
 """Laguerre-Gauss and Laguerre-Gauss-Radau quadrature rules.
 
-Nodes are seeded and polished by Newton iterations driven by the stable
-function evaluation; a table keeps every abscissa evaluated, final nodes
-included, pads small passes with neighbouring doubles and gives both kinds
-of rule the derivative their weights take.  Seeds are the eigenvalues of
-the tridiagonal recurrence matrix below 500 points or for alpha < 0, and
-O(N) asymptotic forms otherwise (``_seeds``).  Eigensolves below 500 rows
-run dense in numpy's LAPACK (O(N^3), 17 ms at 499 rows, scipy's bits); only
-larger ones import scipy.linalg: eigen seeds of 500+ points, trailing
-blocks at 21,434+.  Weights come from one closed form with all Gamma ratios
-kept in log space and the derivative as the partial sum ``exp(-x/2) (L_0 +
-.. + L_{n-1})``, which does not cancel at small nodes, so rules with
-thousands of points neither overflow nor lose digits or weights.
+A rule takes one pass of the stable function evaluation at its seeds and
+one Halley step per node, with L'' and L''' from the Laguerre equation;
+Newton's iterations finish the few nodes whose step it cannot vouch for.
+Seeds are the eigenvalues of the tridiagonal recurrence matrix below 500
+points or for alpha < 0, and O(N) asymptotic forms otherwise (``_seeds``).
+Eigensolves below 500 rows run dense in numpy's LAPACK (O(N^3), 17 ms at
+499 rows, scipy's bits); only larger ones import scipy.linalg: eigen seeds
+of 500+ points, trailing blocks at 21,434+.  Weights come from one closed
+form with all Gamma ratios kept in log space and the derivative as the
+partial sum ``exp(-x/2) (L_0 + .. + L_{n-1})``, which does not cancel at
+small nodes, so rules with thousands of points neither overflow nor lose
+digits or weights.
 """
 
 from __future__ import annotations
@@ -42,16 +42,17 @@ _EPS = np.finfo(float).eps
 _NEWTON_MAX_ITERS = 10
 _NEWTON_REL_STEP_TOL = 4.0 * _EPS
 # A Newton pass is padded with neighbouring doubles up to this many points:
-# a degree-1000 kernel pass took 5.9 / 6.4 / 6.5 / 10.0 ms on 2 / 81 / 256 /
+# a degree-1000 kernel pass took 3.1 / 3.3 / 3.4 / 5.5 ms on 2 / 81 / 256 /
 # 1000 points (medians of 31, one thread of a 2-vCPU AVX-512 Xeon), so
-# points below this ride almost free
+# points below this ride almost free, as do a rule's 128 (+0.35 ms there)
 _NEWTON_PAD_POINTS = 256
 # Rules of this many points or more with alpha >= 0 get O(N) seeds: 1.5 ms
 # at 500 points against the eigen seed's 4.7 ms and a Newton pass's 2.0 ms
 # (medians of 31, one thread of a 2-vCPU AVX-512 Xeon), and smaller
-# eigensolves run dense.  Below alpha = 0 the smallest nodes keep up to 81
-# ulps of their seed (-0.4, N = 2050).  Relative seed errors (500 to 4099
-# points) peak at 3.8e-10 to alpha 5, 1.3e-9 at 7, 1.1e-7 at 20, 2.5e-5 at 50.
+# eigensolves run dense.  Below alpha = 0 the smallest node made from them
+# ends up to 88 ulps from the eigen-seeded one (-0.5, N = 999).  Relative
+# seed errors (500 to 4099 points) peak at 3.8e-10 to alpha 5, 1.3e-9 at
+# 7, 1.1e-7 at 20, 4.2e-6 at 50.
 _FAST_SEED_POINTS = 500
 
 
@@ -140,20 +141,22 @@ def _jacobi_eigvals(alpha: float, start: int, stop: int) -> np.ndarray:
 def _seeds(alpha: float, N: int) -> np.ndarray:
     """Seeds for the N+1 zeros (module docstring): Tricomi's form (Gatteschi,
     J. Comput. Appl. Math. 144 (2002) 7-27) with the Bessel zero j_k for
-    McMahon's first term and a tan term that takes out his second; j_k from
-    Ikebe, Kikuchi and Fujishiro's matrix (J. Comput. Appl. Math. 38 (1991)
-    169-184) for k <= 24 and McMahon's expansion (DLMF 10.21.19) above; the
-    top 20 zeros from a trailing block of the recurrence matrix."""
+    McMahon's first term and a tan term that takes out his second; j_k below
+    a crossover k (25 to alpha 5, 2 more per unit above, 120 at most) from
+    4k-4 rows of Ikebe, Kikuchi and Fujishiro's matrix (J. Comput. Appl.
+    Math. 38 (1991) 169-184), McMahon's expansion (DLMF 10.21.19) from k on;
+    the top 20 zeros from a trailing block of the recurrence matrix."""
     LagParams(alpha=alpha, n=N)  # the check of (alpha, N)
     if N + 1 < _FAST_SEED_POINTS or alpha < 0:
         return nodes_eigen_seed(alpha, N)
-    a = alpha + 2.0 * np.arange(1, 97)
+    k = min(25 + 2 * int(max(alpha - 5.0, 0.0)), 120)
+    a = alpha + 2.0 * np.arange(1, 4 * k - 3)
     ev = _tridiagonal_eigvals(0.5 / ((a - 1.0) * (a + 1.0)), 0.25 / (
         (a[:-1] + 1.0) * np.sqrt(a[:-1] * (a[:-1] + 2.0))))
-    mu, b = 4.0 * alpha * alpha, (np.arange(25, N - 18) + 0.5 * alpha
+    mu, b = 4.0 * alpha * alpha, (np.arange(k, N - 18) + 0.5 * alpha
                                   - 0.25) * np.pi
     w = (0.125 / b) ** 2
-    j = np.concatenate((ev[:-25:-1] ** -0.5, b - 0.125 / b * (mu - 1.0) * (
+    j = np.concatenate((ev[:-k:-1] ** -0.5, b - 0.125 / b * (mu - 1.0) * (
         1.0 + w * (4.0 / 3.0 * (7.0 * mu - 31.0) + w * (32.0 / 15.0 * (
             (83.0 * mu - 982.0) * mu + 3779.0) + w * 64.0 / 105.0 * (
             ((6949.0 * mu - 153855.0) * mu + 1585743.0) * mu - 6277237.0))))))
@@ -245,14 +248,44 @@ def _unseen(v: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _rule(alpha: float, N: int, kind: RuleKind) -> GaussRule:
-    """Either kind of rule: ``_seeds`` and ``_newton`` at the zeros of
-    L^(a)_n, and one closed form of the weights in Newton's partial sum."""
+    """Either kind of rule: one pass and Halley's step from ``_seeds`` at the
+    zeros of L^(a)_n, and one closed form of the weights in the sum S."""
     LagParams(alpha=alpha, n=N)  # the check of (alpha, N)
     radau = kind is RuleKind.GAUSS_RADAU
     if radau and N < 1:
         raise ValueError("Gauss-Radau rule needs N >= 1")
     n, a = N + 1 - radau, alpha + radau  # Radau's interior family
-    nodes, S = _newton(a, n - 1, _seeds(a, n - 1))
+    # one kernel pass at the seeds and Halley's step d from it, by x L'' +
+    # (a+1-x) L' + n L = 0 and its derivative; S carried from the seed to
+    # second order in d, which puts it at the zero, save at the 8 smallest
+    # nodes: their weights carry S's rounding alone, and one the pass saw
+    # within 8 ulps of its seed keeps the S of its own evaluation
+    x0 = _seeds(a, n - 1)
+    pts = _unseen(np.append(x0, x0[:8] + np.arange(-8, 9)[:, None]
+                            * np.spacing(x0[:8])), np.empty(0))
+    val, S, _ = _value_sum(a, n, pts)
+    i = np.searchsorted(pts, x0)
+    h = val[i] / -S[i]  # L / L'
+    r1 = -(a + 1.0 - x0 + n * h) / x0  # L'' / L'
+    r2 = -((a + 2.0 - x0) * r1 + n - 1.0) / x0  # L''' / L'
+    d = -h / (1.0 - 0.5 * h * r1)
+    nodes = x0 + d
+    j = np.minimum(np.searchsorted(pts, nodes), pts.size - 1)
+    S = np.where(pts[j] == nodes, S[j], S[i] * (
+        1.0 + d * (r1 - 0.5 + 0.5 * d * (r2 - r1 + 0.25))))
+    # Halley leaves (c2^2 - c3) e^3 + O(e^4) of the seed's error e = -d +
+    # O(e^3), c_k = L^(k) / (k! L') at the zero: Newton finishes from x1 the
+    # nodes where |r1^2/4 - r2/6| |d|^3 is not below 1/16 ulp, under the
+    # pass's own noise, and from the seed those whose x1 leaves the bracket
+    # of seed midpoints
+    ends = np.concatenate(([0.0], 0.5 * (x0[1:] + x0[:-1]),
+                           [x0[-1] * 2.0 + 1.0]))
+    inside = (nodes > ends[:-1]) & (nodes < ends[1:])
+    redo = ~(inside & (np.abs(0.25 * r1 * r1 - r2 / 6.0) * np.abs(d) ** 3
+                       < 0.0625 * np.spacing(nodes)))
+    if redo.any():
+        nodes[redo], S[redo] = _newton(a, n - 1,
+                                       np.where(inside, nodes, x0)[redo])
     if radau:
         try:
             w0 = math.exp(math.log(alpha + 1.0) + 2.0 * math.lgamma(
@@ -285,7 +318,8 @@ def gauss_rule(alpha: float, N: int) -> GaussRule:
 
     assembled as ``exp(log-ratio - log x_j - x_j - 2 log|S(x_j)|)`` with
     ``S = exp(-x/2) (L_0 + .. + L_N) = -exp(-x/2) L_{N+1}'``, which stays
-    O(1) at the nodes for any N, from Newton's pass at each final node.
+    O(1) at the nodes for any N.  One kernel pass at the seeds gives L and
+    S, and a Halley step per node makes the nodes and carries S to them.
     """
     return _rule(alpha, N, RuleKind.GAUSS)
 
@@ -295,9 +329,9 @@ def gauss_radau_rule(alpha: float, N: int) -> GaussRule:
 
     The interior nodes are the zeros of the derivative of the
     degree-(N+1) polynomial, which coincide with the degree-N Gauss nodes
-    of the (alpha+1) family, and are found as those.  Their weights
-    ``Gamma(N+alpha+1) / ((N+alpha+1) N! L_N(x_j)^2)`` take ``L_N(x_j) =
-    x_j L^(alpha+1)_N'(x_j) / (N+alpha+1)`` from Newton's pass, as the Gauss
+    of the (alpha+1) family, and are made as those, in one pass.  Their
+    weights ``Gamma(N+alpha+1) / ((N+alpha+1) N! L_N(x_j)^2)`` take ``L_N(x_j)
+    = x_j L^(alpha+1)_N'(x_j) / (N+alpha+1)`` from the sum S, as the Gauss
     weights take their derivative.
     """
     return _rule(alpha, N, RuleKind.GAUSS_RADAU)

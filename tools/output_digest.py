@@ -14,10 +14,11 @@ and Radau rules at two (alpha, N), the rules of the benchmark's ``rules``
 workload, the Gauss rule at N=2050, rules on both sides of the seed
 crossover at alpha 0 and 6, a 1000-point rule just above alpha 5, eigen
 seeds on both sides of the dense eigensolve's crossover, Radau rules at
-N=2048 (whose final interior nodes miss Newton's table) and at alpha -0.5,
-the N=1024 solve of acceptance criterion 6 and its derivative evaluated at
-the 4099 nodes of its norm rule, the stable kernel's series and
-value/derivative (array and scalar) at abscissae from 0 and the smallest
+N=2048 and at alpha -0.5, Gauss rules at (20, 511) and (50, 999), whose
+Halley steps leave nodes to Newton, the N=1024 solve of acceptance
+criterion 6 and its derivative evaluated at the 4099 nodes of its norm
+rule, the stable kernel's series and value/derivative (array and scalar)
+at abscissae from 0 and the smallest
 subnormal up to 1.7e308 and, at degree 4096, over 401 abscissae from 0 to
 1e5, the value/derivative at alpha 500 and degree 4096 over 601 abscissae
 from 0 to 60, where both overflow, the oracle's 24-digit nodes of the
@@ -57,15 +58,16 @@ _G, _R = quadrature.RuleKind.GAUSS, quadrature.RuleKind.GAUSS_RADAU
 # above alpha 5, the last eigen-seeded and first O(N)-seeded Gauss rule at
 # alpha 6 (499 and 500 points), and the last eigen seed solved dense and the
 # first solved by scipy's tridiagonal solver (499 and 500 rows at alpha
-# -0.5, below the O(N) seeds' alpha >= 0), and two Radau rules: one whose
-# final interior nodes miss Newton's table, one below alpha 0
+# -0.5, below the O(N) seeds' alpha >= 0), two Radau rules: one at N=2048,
+# one below alpha 0, and two Gauss rules whose seeds come from the larger
+# Bessel-zero matrix above alpha 5 and that send nodes through Newton
 RULES = ([(a, N, k) for a, N in ((0.0, 120), (1.5, 300)) for k in (_G, _R)]
          + [(0.0, 999, _G), (0.0, 2048, _G), (0.0, 999, _R),
             (0.7015463661686019, 999, _G), (0.0, 2050, _G),
             (0.0, 498, _G), (0.0, 499, _G), (0.0, 499, _R), (0.0, 500, _R),
             (5.000000000000001, 999, _G), (6.0, 498, _G), (6.0, 499, _G),
             (-0.5, 498, _G), (-0.5, 499, _G), (0.0, 2048, _R),
-            (-0.5, 999, _R)])
+            (-0.5, 999, _R), (20.0, 511, _G), (50.0, 999, _G)])
 
 # the kernel at its edges: zero, subnormal, tiny, moderate and huge x
 KERNEL_X = [0.0, 5e-324, 1e-300, 0.5, 2.0, 1e4, 1e30, 1e150, 1e200, 1.7e308]
