@@ -2,7 +2,8 @@
 
 A rule takes one pass of the stable function evaluation at its seeds and
 one Halley step per node, with L'' and L''' from the Laguerre equation;
-Newton's iterations finish the few nodes whose step it cannot vouch for.
+Newton's iterations, each one kernel pass over all of their nodes, finish
+the few nodes whose step it cannot vouch for.
 Seeds are the eigenvalues of the tridiagonal recurrence matrix below 500
 points or for alpha < 0, and O(N) asymptotic forms otherwise (``_seeds``).
 Eigensolves below 500 rows run dense in numpy's LAPACK (O(N^3), 17 ms at
@@ -41,11 +42,6 @@ _EPS = np.finfo(float).eps
 # step is at most this multiple of the node
 _NEWTON_MAX_ITERS = 10
 _NEWTON_REL_STEP_TOL = 4.0 * _EPS
-# A Newton pass is padded with neighbouring doubles up to this many points:
-# a degree-1000 kernel pass took 3.1 / 3.3 / 3.4 / 5.5 ms on 2 / 81 / 256 /
-# 1000 points (medians of 31, one thread of a 2-vCPU AVX-512 Xeon), so
-# points below this ride almost free, as do a rule's 128 (+0.35 ms there)
-_NEWTON_PAD_POINTS = 256
 # Rules of this many points or more with alpha >= 0 get O(N) seeds: 1.5 ms
 # at 500 points against the eigen seed's 4.7 ms and a Newton pass's 2.0 ms
 # (medians of 31, one thread of a 2-vCPU AVX-512 Xeon), and smaller
@@ -184,23 +180,13 @@ def refine_newton(alpha: float, N: int, seeds: np.ndarray) -> np.ndarray:
     is reset to its seed and reported via a warning; an iterate due for
     evaluation that is no abscissa (NaN where ``exp(-x/2) L`` underflows)
     is an ArithmeticError.
-
-    A step is a pointwise, deterministic map (the recurrence rescales by
-    exact powers of two and takes them back out exactly), so each abscissa
-    evaluated goes into a table with its next iterate, step test and
-    ``exp(-x/2)`` times that partial sum, and is never evaluated again: a
-    cycle between neighbouring doubles costs nothing once in the table.  A
-    last pass evaluates the final nodes it lacks; the passes in between also
-    evaluate the doubles within m ulps of their abscissae, where later
-    iterates land, for the largest m >= 1 that keeps each within
-    ``_NEWTON_PAD_POINTS``.  Neither changes a bit of the result.
     """
     return _newton(alpha, N, seeds)[0]
 
 
 def _newton(alpha: float, N: int, seeds: np.ndarray):
     """``refine_newton``'s nodes and ``exp(-x/2) (L_0 + .. + L_N)`` at each,
-    from its table."""
+    from one more pass at the final nodes."""
     seeds = np.asarray(seeds, dtype=float)
     if not (seeds.ndim == 1 and seeds.size and np.all(np.isfinite(seeds))
             and np.all(seeds > 0) and np.all(np.diff(seeds) > 0)):
@@ -210,41 +196,24 @@ def _newton(alpha: float, N: int, seeds: np.ndarray):
     ends = np.concatenate(([0.0], 0.5 * (seeds[1:] + seeds[:-1]),
                            [seeds[-1] * 2.0 + 1.0]))
 
-    # one column per abscissa evaluated, sorted by it: the abscissa, its
-    # next iterate, its step test (1.0 passed) and exp(-x/2) (L_0 + .. + L_N)
-    tab, x, last = np.empty((4, 0)), seeds, False
+    x, last = seeds, False
     for k in range(_NEWTON_MAX_ITERS + 1):
-        pts = _unseen(x, tab[0])
-        if pts.size:
-            j = np.argmin((x >= 0) & (x < np.inf))  # a non-abscissa first
-            if not 0 <= x[j] < np.inf:
-                raise ArithmeticError(f"Newton iterate {k}, node {j}: {x[j]}")
-            m = (_NEWTON_PAD_POINTS // pts.size - 1) // 2  # ulps per side
-            if k and m > 0 and not last:
-                near = pts + np.arange(-m, m + 1)[:, None] * np.spacing(pts)
-                pts = _unseen(np.maximum(near, 0.0).ravel(), tab[0])
-            val, S, _ = _value_sum(alpha, N + 1, pts)
-            step = val / -S  # L / L': the exp(-x/2) scale cancels
-            tab = np.concatenate((tab, [
-                pts, pts - step, np.abs(step) <= _NEWTON_REL_STEP_TOL * pts,
-                S]), axis=1)
-            tab = tab[:, np.argsort(tab[0])]
-        i = np.searchsorted(tab[0], x)
+        j = np.argmin((x >= 0) & (x < np.inf))  # a non-abscissa first
+        if not 0 <= x[j] < np.inf:
+            raise ArithmeticError(f"Newton iterate {k}, node {j}: {x[j]}")
+        val, S, _ = _value_sum(alpha, N + 1, x)
         if last:
-            return x, tab[3, i]
-        x, last = tab[1, i], tab[2, i].all() or k + 1 == _NEWTON_MAX_ITERS
+            return x, S
+        step = val / -S  # L / L': the exp(-x/2) scale cancels
+        last = (np.all(np.abs(step) <= _NEWTON_REL_STEP_TOL * x)
+                or k + 1 == _NEWTON_MAX_ITERS)
+        x = x - step
         escaped = (x <= ends[:-1]) | (x >= ends[1:])
         if last and np.any(escaped):
             warnings.warn(f"Newton refinement escaped bracket at indices "
                           f"{np.flatnonzero(escaped).tolist()}; falling back "
                           f"to seeds", RuntimeWarning)
             x[escaped] = seeds[escaped]
-
-
-def _unseen(v: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``np.setdiff1d(v, t)`` for a sorted, unique ``t``, without numpy.ma."""
-    v = np.sort(v[np.append(t, np.nan)[np.searchsorted(t, v)] != v])
-    return v[np.diff(v, prepend=-np.inf) != 0]
 
 
 def _rule(alpha: float, N: int, kind: RuleKind) -> GaussRule:
@@ -261,8 +230,9 @@ def _rule(alpha: float, N: int, kind: RuleKind) -> GaussRule:
     # nodes: their weights carry S's rounding alone, and one the pass saw
     # within 8 ulps of its seed keeps the S of its own evaluation
     x0 = _seeds(a, n - 1)
-    pts = _unseen(np.append(x0, x0[:8] + np.arange(-8, 9)[:, None]
-                            * np.spacing(x0[:8])), np.empty(0))
+    pts = np.sort(np.append(x0, x0[:8] + np.arange(-8, 9)[:, None]
+                            * np.spacing(x0[:8])))
+    pts = pts[np.diff(pts, prepend=-np.inf) != 0]  # np.unique loads numpy.ma
     val, S, _ = _value_sum(a, n, pts)
     i = np.searchsorted(pts, x0)
     h = val[i] / -S[i]  # L / L'

@@ -15,15 +15,17 @@ workload, the Gauss rule at N=2050, rules on both sides of the seed
 crossover at alpha 0 and 6, a 1000-point rule just above alpha 5, eigen
 seeds on both sides of the dense eigensolve's crossover, Radau rules at
 N=2048 and at alpha -0.5, Gauss rules at (20, 511) and (50, 999), whose
-Halley steps leave nodes to Newton, the N=1024 solve of acceptance
-criterion 6 and its derivative evaluated at the 4099 nodes of its norm
-rule, the stable kernel's series and value/derivative (array and scalar)
-at abscissae from 0 and the smallest
-subnormal up to 1.7e308 and, at degree 4096, over 401 abscissae from 0 to
-1e5, the value/derivative at alpha 500 and degree 4096 over 601 abscissae
-from 0 to 60, where both overflow, the oracle's 24-digit nodes of the
-64-point Gauss rule at alpha 0 (their mpf tuples), and the exact bytes and
-exit codes of CLI runs.
+Halley steps leave nodes to Newton, ``refine_newton`` from the 2049 eigen
+seeds at alpha 0, which stops at its iteration cap with 39 nodes in
+2-cycles, and from 10 seeds of which one leaves its bracket (the nodes and
+the warning), the N=1024 solve of acceptance criterion 6 and its
+derivative evaluated at the 4099 nodes of its norm rule, the stable
+kernel's series and value/derivative (array and scalar) at abscissae
+from 0 and the smallest subnormal up to 1.7e308 and, at degree 4096,
+over 401 abscissae from 0 to 1e5, the value/derivative at alpha 500 and
+degree 4096 over 601 abscissae from 0 to 60, where both overflow, the
+oracle's 24-digit nodes of the 64-point Gauss rule at alpha 0 (their mpf
+tuples), and the exact bytes and exit codes of CLI runs.
 Floats enter the hash as their IEEE bytes (``float.hex``), arrays as
 ``tobytes()``.
 Only the standard library and lagspec are used; ``lagspec`` is imported
@@ -39,6 +41,7 @@ import hashlib
 import io
 import os
 import sys
+import warnings
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -156,6 +159,16 @@ def outputs():
         rule = quadrature.cached_gauss_rule(alpha, N, kind)
         yield f"rule {kind.value} {alpha} {N}", b"".join(
             a.tobytes() for a in (rule.nodes, rule.weights, rule.fun_weights))
+    yield "newton 0.0 2048 eigen seeds", quadrature.refine_newton(
+        0.0, 2048, quadrature.nodes_eigen_seed(0.0, 2048)).tobytes()
+    # node 3 starts just below its upper bracket end, where L' is small
+    seeds = quadrature.nodes_eigen_seed(0.0, 9)
+    seeds[3] = 0.5 * (seeds[3] + seeds[4]) - 0.02 * (seeds[4] - seeds[3])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        nodes = quadrature.refine_newton(0.0, 9, seeds)
+    yield "newton 0.0 9 escape", nodes.tobytes() + "".join(
+        str(w.message) for w in caught).encode()
     for alpha, n in KERNEL_PARAMS:
         params = recurrence.LagParams(alpha=alpha, n=n)
         yield f"series {alpha} {n}", recurrence.fun_series_stable(
