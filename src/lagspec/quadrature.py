@@ -82,6 +82,11 @@ class GaussRule:
             view = np.asarray(getattr(self, name)).view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
+        if not (self.nodes.ndim == 1 and self.nodes.size and self.nodes.shape
+                == self.weights.shape == self.fun_weights.shape):
+            raise ValueError("nodes, weights and fun_weights must be "
+                             "nonempty 1-D arrays of one length")
+        LagParams(alpha=self.alpha, n=self.nodes.size - 1)  # (alpha, N) check
         if not np.all(np.diff(self.nodes) > 0):
             raise ValueError("nodes must be strictly increasing")
         if self.kind is RuleKind.GAUSS and not self.nodes[0] > 0:
@@ -174,19 +179,13 @@ def refine_newton(alpha: float, N: int, seeds: np.ndarray) -> np.ndarray:
 
     Each node is updated by ``x <- x - L_{N+1}(x) / L_{N+1}'(x)``, with
     ``-L_{N+1}' = L_0 + .. + L_N`` and both through the rescaled function
-    recurrence (the common exponential scale cancels).  Iteration stops once
-    every node's step is at most ``4 eps x``, or after 10 iterations.  A
-    node that leaves the bracket formed by its neighbouring seed midpoints
-    is reset to its seed and reported via a warning; an iterate due for
-    evaluation that is no abscissa (NaN where ``exp(-x/2) L`` underflows)
-    is an ArithmeticError.
+    recurrence in one kernel pass per iteration (the common exponential
+    scale cancels).  Iteration stops once every node's step is at most ``4
+    eps x``, or after 10 iterations.  A node that leaves the bracket formed
+    by its neighbouring seed midpoints is reset to its seed and reported via
+    a warning; an iterate that is no abscissa (NaN where ``exp(-x/2) L``
+    underflows), the final nodes included, is an ArithmeticError.
     """
-    return _newton(alpha, N, seeds)[0]
-
-
-def _newton(alpha: float, N: int, seeds: np.ndarray):
-    """``refine_newton``'s nodes and ``exp(-x/2) (L_0 + .. + L_N)`` at each,
-    from one more pass at the final nodes."""
     seeds = np.asarray(seeds, dtype=float)
     if not (seeds.ndim == 1 and seeds.size and np.all(np.isfinite(seeds))
             and np.all(seeds > 0) and np.all(np.diff(seeds) > 0)):
@@ -201,9 +200,9 @@ def _newton(alpha: float, N: int, seeds: np.ndarray):
         j = np.argmin((x >= 0) & (x < np.inf))  # a non-abscissa first
         if not 0 <= x[j] < np.inf:
             raise ArithmeticError(f"Newton iterate {k}, node {j}: {x[j]}")
-        val, S, _ = _value_sum(alpha, N + 1, x)
         if last:
-            return x, S
+            return x
+        val, S, _ = _value_sum(alpha, N + 1, x)
         step = val / -S  # L / L': the exp(-x/2) scale cancels
         last = (np.all(np.abs(step) <= _NEWTON_REL_STEP_TOL * x)
                 or k + 1 == _NEWTON_MAX_ITERS)
@@ -254,8 +253,8 @@ def _rule(alpha: float, N: int, kind: RuleKind) -> GaussRule:
     redo = ~(inside & (np.abs(0.25 * r1 * r1 - r2 / 6.0) * np.abs(d) ** 3
                        < 0.0625 * np.spacing(nodes)))
     if redo.any():
-        nodes[redo], S[redo] = _newton(a, n - 1,
-                                       np.where(inside, nodes, x0)[redo])
+        nodes[redo] = refine_newton(a, n - 1, np.where(inside, nodes, x0)[redo])
+        S[redo] = _value_sum(a, n, nodes[redo])[1]
     if radau:
         try:
             w0 = math.exp(math.log(alpha + 1.0) + 2.0 * math.lgamma(

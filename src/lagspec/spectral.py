@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadrature import cached_gauss_rule
+from .quadrature import GaussRule, cached_gauss_rule
 from .recurrence import LagParams, _abscissae, fun_series_stable
 
 __all__ = [
@@ -123,49 +123,35 @@ def assemble_system(N: int, gamma_eff: float) -> tuple[np.ndarray, np.ndarray]:
     return diag, off
 
 
-@dataclass(frozen=True)
-class _RuleBasis:
-    """Rows ``Lhat_0 .. Lhat_N`` at the nodes ``y`` of one Gauss rule, with
-    its function-form weights ``w``; all read-only, as it is shared."""
-
-    y: np.ndarray
-    w: np.ndarray
-    lhat: np.ndarray
-
-
-# Rule bases kept for reuse across solves, norms and sweeps, least recently
+# Rule bases, each a Gauss rule and the read-only rows Lhat_0 .. Lhat_N at
+# its nodes, kept for reuse across solves, norms and sweeps, least recently
 # used first.  Before a basis is built, bases of other N are dropped in that
 # order until it fits in _BASES_BYTES with the rest; those of its own N stay,
 # so a beta loop at one N builds each of its two bases once.  At M = 2N the
 # bases of one N take about 48 N^2 bytes, 12.6 MB at N = 512.
 _BASES_BYTES = 64 << 20
-_bases: dict[tuple[int, int], _RuleBasis] = {}
+_bases: dict[tuple[int, int], tuple[GaussRule, np.ndarray]] = {}
 
 
-def _basis_bytes(N: int, K: int) -> int:
-    return 8 * (N + 1) * (K + 1)
-
-
-def _rule_basis(N: int, K: int) -> _RuleBasis:
-    key = (N, K)
-    rb = _bases.pop(key, None)
-    if rb is None:
-        need = sum(_basis_bytes(*k) for k in (key, *_bases))
+def _rule_basis(N: int, K: int) -> tuple[GaussRule, np.ndarray]:
+    basis = _bases.pop((N, K), None)
+    if basis is None:
+        need = 8 * (N + 1) * (K + 1) + sum(
+            lhat.nbytes for _, lhat in _bases.values())
         for old in [k for k in _bases if k[0] != N]:
             if need <= _BASES_BYTES:
                 break
-            need -= _basis_bytes(*old)
-            del _bases[old]
-        rb = _build_basis(N, K)
-    _bases[key] = rb
-    return rb
+            need -= _bases.pop(old)[1].nbytes
+        basis = _build_basis(N, K)
+    _bases[N, K] = basis
+    return basis
 
 
-def _build_basis(N: int, K: int) -> _RuleBasis:
+def _build_basis(N: int, K: int) -> tuple[GaussRule, np.ndarray]:
     rule = cached_gauss_rule(0.0, K)
     lhat = fun_series_stable(LagParams(alpha=0.0, n=N), rule.nodes)
     lhat.flags.writeable = False
-    return _RuleBasis(rule.nodes, rule.fun_weights, lhat)
+    return rule, lhat
 
 
 def project_rhs(problem: ModelProblem, N: int, M: int, beta: float
@@ -187,10 +173,11 @@ def project_rhs(problem: ModelProblem, N: int, M: int, beta: float
             and 0.0 < problem.gamma / b2 < math.inf):
         raise ValueError("beta must be finite and > 0, with beta**2 and "
                          f"gamma/beta**2 positive doubles, got {beta}")
-    rb = _rule_basis(N, M)
-    g = _samples(problem.f, "right-hand side", rb.y, beta)
+    rule, lhat = _rule_basis(N, M)
+    g = _samples(problem.f, "right-hand side", rule.nodes, beta)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        t = rb.lhat @ (g * rb.w)  # (g/beta^2, psi_n) = (t_n - t_{n+1})/beta^2
+        # (g/beta^2, psi_n) = (t_n - t_{n+1})/beta^2
+        t = lhat @ (g * rule.fun_weights)
         b = (t[:-1] - t[1:]) / beta ** 2
     if not np.all(np.isfinite(b)):
         raise ArithmeticError("load vector non-finite: f overflows it")
@@ -246,16 +233,15 @@ def _samples(fn, name: str, y: np.ndarray, beta: float) -> np.ndarray:
     return v
 
 
-def _norms_at_order(sol: SpectralSolution, rb: _RuleBasis, h1: bool
-                    ) -> tuple[float, float]:
-    problem = sol.problem
-    y, w = rb.y, rb.w
-    beta = sol.beta
-    v_num = _series_coeffs(sol.coeffs, False) @ rb.lhat
+def _norms_at_order(sol: SpectralSolution, rule: GaussRule,
+                    lhat: np.ndarray, h1: bool) -> tuple[float, float]:
+    problem, beta = sol.problem, sol.beta
+    y, w = rule.nodes, rule.fun_weights
+    v_num = _series_coeffs(sol.coeffs, False) @ lhat
     v_ex = _samples(problem.u_exact, "u_exact", y, beta)
     l2_y = math.sqrt(float(np.sum((v_ex - v_num) ** 2 * w)))
     if h1 and problem.u_exact_prime is not None:
-        dv_num = _series_coeffs(sol.coeffs, True) @ rb.lhat
+        dv_num = _series_coeffs(sol.coeffs, True) @ lhat
         dv_ex = _samples(problem.u_exact_prime, "u_exact_prime", y, beta) / beta
         h1_y = math.sqrt(float(np.sum((dv_ex - dv_num) ** 2 * w)))
     else:
@@ -276,11 +262,11 @@ def error_norms(sol: SpectralSolution, *,
     """
     if sol.problem.u_exact is None:  # before any basis is built
         raise ValueError("problem has no exact solution to compare against")
-    l2, h1 = _norms_at_order(sol, _rule_basis(sol.N, 2 * sol.M + 2), True)
+    l2, h1 = _norms_at_order(sol, *_rule_basis(sol.N, 2 * sol.M + 2), True)
     quad_est = None
     if check_quadrature:
         # a one-off check, about twice the norm rule's size, L2 only: not kept
-        l2b, _ = _norms_at_order(sol, _build_basis(sol.N, 4 * sol.M), False)
+        l2b, _ = _norms_at_order(sol, *_build_basis(sol.N, 4 * sol.M), False)
         quad_est = abs(l2b - l2)
     return ErrorReport(l2_error=l2, h1_semi_error=h1, N=sol.N, beta=sol.beta,
                        quad_error_estimate=quad_est)

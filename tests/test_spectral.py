@@ -575,14 +575,15 @@ class TestSweepPlan:
         load = spectral._rule_basis(8, 16)
         norms = spectral._rule_basis(8, 34)
         check = spectral._build_basis(8, 64)
-        for rb, K in ((load, 16), (norms, 34), (check, 64)):
-            rule = gauss_rule(0.0, K)
-            assert rb.y.tobytes() == rule.nodes.tobytes()
-            assert rb.w.tobytes() == rule.fun_weights.tobytes()
-            assert rb.lhat.tobytes() == fun_series_stable(
-                LagParams(0.0, 8), rule.nodes).tobytes()
+        for (rule, lhat), K in ((load, 16), (norms, 34), (check, 64)):
+            ref = gauss_rule(0.0, K)
+            assert rule.nodes.tobytes() == ref.nodes.tobytes()
+            assert rule.fun_weights.tobytes() == ref.fun_weights.tobytes()
+            assert lhat.tobytes() == fun_series_stable(
+                LagParams(0.0, 8), ref.nodes).tobytes()
         problem, beta = make_case("u1").problem, 2.0
-        t = load.lhat @ (problem.f(load.y / beta) * load.w)
+        rule, lhat = load
+        t = lhat @ (problem.f(rule.nodes / beta) * rule.fun_weights)
         assert project_rhs(problem, 8, 16, beta).tobytes() == \
             ((t[:-1] - t[1:]) / beta ** 2).tobytes()
 
@@ -699,7 +700,7 @@ class TestBasisCache:
         # room for the bases of N=4 and N=16 but not for those of N=8 besides
         kept = [(4, 8), (4, 18), (16, 32), (16, 66)]
         monkeypatch.setattr(spectral, "_BASES_BYTES",
-                            sum(spectral._basis_bytes(*k) for k in kept))
+                            sum(8 * (n + 1) * (k + 1) for n, k in kept))
         problem = make_case("u1").problem
         beta_sweep(problem, [4, 8], [1.0])
         error_norms(solve(problem, 4, 8, 2.0))  # N=4 used last
@@ -733,9 +734,9 @@ class TestBasisCache:
         assert list(spectral._bases) == [(8, 16)]
 
     def test_cached_basis_is_read_only(self):
-        rb = spectral._rule_basis(8, 34)
-        load = spectral._rule_basis(8, 16)
-        for a in (rb.y, rb.w, rb.lhat, load.lhat):
+        rule, lhat = spectral._rule_basis(8, 34)
+        _, load = spectral._rule_basis(8, 16)
+        for a in (rule.nodes, rule.fun_weights, lhat, load):
             with pytest.raises(ValueError):
                 a[0] = 99.0
 
@@ -754,9 +755,9 @@ class TestBasisCache:
         finally:
             tracemalloc.stop()
         norm = 8 * (N + 1) * (2 * M + 3)
-        held = sum(rb.lhat.nbytes for rb in spectral._bases.values())
+        held = sum(lhat.nbytes for _, lhat in spectral._bases.values())
         assert held == 8 * (N + 1) * (M + 1) + norm
-        assert held == sum(spectral._basis_bytes(*k) for k in spectral._bases)
+        assert held == sum(8 * (n + 1) * (k + 1) for n, k in spectral._bases)
         assert peak < 2.3 * norm, f"peak {peak / norm:.2f} norm series"
         # a load rule of 2M+3 points is the norm rule: it reads that basis
         norms = spectral._bases[N, 2 * M + 2]
