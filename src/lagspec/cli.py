@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -190,6 +191,7 @@ def cmd_errlab(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it is
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lagspec", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

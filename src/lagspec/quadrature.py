@@ -44,11 +44,11 @@ _NEWTON_MAX_ITERS = 10
 _NEWTON_REL_STEP_TOL = 4.0 * _EPS
 # Rules of this many points or more with alpha >= 0 get O(N) seeds: 1.5 ms
 # at 500 points against the eigen seed's 4.7 ms and a Newton pass's 2.0 ms
-# (medians of 31, one thread of a 2-vCPU AVX-512 Xeon), and smaller
-# eigensolves run dense.  Below alpha = 0 the smallest node made from them
-# ends up to 88 ulps from the eigen-seeded one (-0.5, N = 999).  Relative
-# seed errors (500 to 4099 points) peak at 3.8e-10 to alpha 5, 1.3e-9 at
-# 7, 1.1e-7 at 20, 4.2e-6 at 50.
+# (medians of 31, one thread of a 2-vCPU AVX-512 Xeon); smaller eigensolves
+# run dense, and alpha < 0 always takes the eigen seeds (its node-0 gap:
+# test_smallest_node_below_alpha_0_within_16_ulps, strict xfail, and
+# ROADMAP State's bracket table).  Relative seed errors (500 to 4099 points)
+# peak at 3.8e-10 to alpha 5, 1.3e-9 at 7, 1.1e-7 at 20, 4.2e-6 at 50.
 _FAST_SEED_POINTS = 500
 
 

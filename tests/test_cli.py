@@ -14,7 +14,8 @@ import pytest
 
 import lagspec
 from lagspec import errmodel, oracle, recurrence
-from lagspec.cli import BROKEN_PIPE, NUMERIC_ERROR, USAGE_ERROR, main
+from lagspec.cli import (BROKEN_PIPE, NUMERIC_ERROR, USAGE_ERROR,
+                         build_parser, main)
 from test_oracle import _exact_series
 
 
@@ -34,9 +35,9 @@ def mp_series_calls(monkeypatch):
     original = oracle._series
     degrees = []
 
-    def counted(alpha, n, x):
+    def counted(alpha, n, x, out=None):
         degrees.append(n)
-        return original(alpha, n, x)
+        return original(alpha, n, x, out)
 
     # every series, errmodel's mpf one too, runs through this name
     monkeypatch.setattr(oracle, "_series", counted)
@@ -101,6 +102,22 @@ class TestEval:
         np.testing.assert_allclose(a, b, rtol=1e-11)
 
 
+class TestParser:
+    def test_one_parser_runs_each_call_on_its_own_arguments(self, capsys):
+        # the parser is built once per process; a call's options and
+        # subcommand must not carry over to the next
+        assert build_parser() is build_parser()
+        quad = _run(capsys, "quad", "--n", "3", "--format", "json")
+        ev = _run(capsys, "eval", "--n", "3", "--x", "1.0")
+        assert quad[0] == ev[0] == 0
+        assert [r["index"] for r in json.loads(quad[1])] == [0, 1, 2, 3]
+        assert ev[1].splitlines()[0] == "degree,value"
+        assert len(_rows(ev[1])) == 4
+        assert _run(capsys, "quad", "--n", "3")[1].startswith(
+            "index,node,weight,fun_weight")
+        assert _run(capsys, "eval", "--n", "3", "--x", "1.0") == ev
+
+
 class TestCompare:
     def test_small_case_near_exact(self, capsys):
         code, out = _run(capsys, "compare", "--n", "2")
@@ -148,15 +165,19 @@ class TestOracleSeriesBytes:
         ["errlab", "--x", "0.1", "--n", "400", "--measure"],
         ["errlab", "--x", "0.1", "--n", "400", "--measure",
          "--mode", "delta"],
+        # the oracle bench workload's runs
+        ["compare", "--n", "256", "--alpha", "0.0"],
+        ["compare", "--n", "256", "--alpha", "0.5"],
+        ["errlab", "--x", "0.13538058122333185", "--n", "400", "--measure"],
     ])
     def test_same_bytes_as_mpf_operators(self, tmp_path, monkeypatch, argv):
         default, reference = tmp_path / "default.csv", tmp_path / "ref.csv"
         assert main(argv + ["--out", str(default)]) == 0
         calls = []
 
-        def exact_series(a, n, x):
+        def exact_series(a, n, x, out=None):
             calls.append(n)
-            return _exact_series(a, n, x)
+            return _exact_series(a, n, x, out)
 
         # every series, errmodel's mpf one too, runs through this name
         monkeypatch.setattr(oracle, "_series", exact_series)

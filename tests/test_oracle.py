@@ -17,10 +17,11 @@ from lagspec.oracle import (
 )
 
 
-def _exact_series(alpha, n: int, x):
-    """``_series``'s values ``L_0 .. L_n`` and sum ``L_0 + ... + L_{n-1}``,
-    each the exact rational rounded once to ``mp.prec`` bits, to nearest,
-    as ``(m, e)`` pairs: their reference.
+def _exact_series(alpha, n: int, x, out=None):
+    """``_series``'s value ``L_n`` and sum ``L_0 + ... + L_{n-1}``, and with
+    a list ``out`` every ``L_k`` appended to it, each the exact rational
+    rounded once to ``mp.prec`` bits, to nearest, as ``(m, e)`` pairs:
+    their reference.
 
     For alpha = A / 2**s and x = X / 2**s, T_k = k! 2**(s k) L_k(x) is an
     integer: T_0 = 1, T_1 = 2**s + A - X and
@@ -40,21 +41,31 @@ def _exact_series(alpha, n: int, x):
         sign, man, exp, _ = from_rational(p >> v, f, mp.prec, round_nearest)
         return (-man if sign else man), exp + v - s * k
 
-    vals, total = [], (0, 0)
+    total = (0, 0)
     prev, t, f, num = 0, 1, 1, 0
     for k in range(n + 1):
-        vals.append(rounded(t, f, k))
+        if out is not None or k == n:
+            last = rounded(t, f, k)
+            if out is not None:
+                out.append(last)
         num = num * k * d + t  # k! 2**(s k) (L_0 + ... + L_k)
         if k == n - 1:
             total = rounded(num, f, k)
         prev, t = t, (((2 * k + 1) * d + a - xx) * t
                       - k * (k * d + a) * d * prev)
         f *= k + 1
-    return vals, total
+    return last, total
 
 
 def _rounded(pairs):
     return [oracle._mpf(v)._mpf_ for v in pairs]
+
+
+def _values(series, alpha, n: int, x):
+    """Every ``L_k`` pair, ``k = 0 .. n``, that ``series`` appends."""
+    out = []
+    series(alpha, n, x, out)
+    return out
 
 
 class TestContext:
@@ -114,8 +125,9 @@ class TestBitwiseSeries:
 
     @staticmethod
     def _same(alpha, n, x):
-        got, got_sum = oracle._series(alpha, n, x)
-        ref, ref_sum = _exact_series(alpha, n, x)
+        got, ref = [], []
+        got_sum = oracle._series(alpha, n, x, got)[1]
+        ref_sum = _exact_series(alpha, n, x, ref)[1]
         return _rounded(got + [got_sum]) == _rounded(ref + [ref_sum])
 
     @pytest.mark.parametrize("alpha", ALPHAS)
@@ -143,8 +155,8 @@ class TestBitwiseSeries:
                 for x in dyadic[2 * i:2 * i + 2] + [ones[i]]:
                     assert self._same(a, 40, x), (prec, a, x)
                 # x = alpha + 1 makes L_1 exactly 0
-                assert _rounded(oracle._series(a, 1, ones[i])[0])[1] == (
-                    0, 0, 0, 0)
+                assert _rounded([oracle._series(a, 1, ones[i])[0]]) == [
+                    (0, 0, 0, 0)]
 
     @pytest.mark.parametrize("prec", [4, 5, 8, 13, 53, 113])
     def test_newton_sum_matches_mpf_sum(self, prec):
@@ -159,6 +171,22 @@ class TestBitwiseSeries:
                 assert _rounded([got]) == _rounded(
                     [_exact_series(a, 40, x)[1]]), (a, x)
 
+    @pytest.mark.parametrize("alpha, n, x, sign", [
+        (0.0, 400, 1e4, 1),  # the state grows out of the band: shifts right
+        (-0.99, 255, 0.0, -1),  # and shrinks below it: shifts left
+    ])
+    def test_band_rescales_both_ways(self, alpha, n, x, sign):
+        with mp.workdps(24):
+            a, x = mp.mpf(alpha), mp.mpf(x)
+            out, ref = [], []
+            last, total = oracle._series(a, n, x, out)
+            ref_sum = _exact_series(a, n, x, ref)[1]
+            assert _rounded(out + [total]) == _rounded(ref + [ref_sum])
+        assert len(out) == n + 1 and last == out[-1]
+        # the exponent moves only where the state is rescaled
+        assert any(sign * (e1 - e0) > 0
+                   for (_, e0), (_, e1) in zip(out, out[1:]))
+
     @pytest.mark.parametrize("digits", [24, 64])
     def test_wide_inputs_are_not_rounded_first(self, digits):
         # alpha and x wider than mp.prec enter the series with every bit
@@ -166,9 +194,9 @@ class TestBitwiseSeries:
             a, x = self._wide(10, 7), self._wide(10, 3)
             assert self._same(a, 255, x)
             # unary plus rounds to mp.prec: the extra bits do matter
-            got = _rounded(oracle._series(a, 255, x)[0])
+            got = _rounded(_values(oracle._series, a, 255, x))
             for ra, rx in ((+a, x), (a, +x)):
-                assert got != _rounded(_exact_series(ra, 255, rx)[0])
+                assert got != _rounded(_values(_exact_series, ra, 255, rx))
 
 
 class TestInputs:

@@ -101,9 +101,9 @@ def _exact_fun_weight(alpha, N, kind, node):
     n = N + 1 - radau
     with mp.workprec(200):
         x = mp.mpf(float(node))
-        vals, total = oracle._series(mp.mpf(alpha) + radau, n, x)
-        x += oracle._mpf(vals[n]) / oracle._mpf(total)
-        LN = oracle._mpf(oracle._series(alpha, N, x)[0][N])
+        last, total = oracle._series(mp.mpf(alpha) + radau, n, x)
+        x += oracle._mpf(last) / oracle._mpf(total)
+        LN = oracle._mpf(oracle._series(alpha, N, x)[0])
         return float(mp.gamma(N + alpha + 1) * x ** (1 - radau) * mp.exp(x)
                      / ((N + alpha + 1) * mp.factorial(n) * LN ** 2))
 
@@ -266,9 +266,8 @@ class TestNewton:
         assert all(p < (N + 1) / 10 for _, _, p in kernel_passes[1:])
         with mp.workprec(160):
             for x in nodes[-60:]:
-                vals, total = oracle._series(mp.mpf(20.0), N + 1, mp.mpf(x))
-                zero = mp.mpf(x) + oracle._mpf(vals[N + 1]) / oracle._mpf(
-                    total)
+                last, total = oracle._series(mp.mpf(20.0), N + 1, mp.mpf(x))
+                zero = mp.mpf(x) + oracle._mpf(last) / oracle._mpf(total)
                 assert abs(mp.mpf(x) - zero) <= np.spacing(x), x
 
     @pytest.mark.parametrize("N, steps", [(2048, 10), (19, 2)])
@@ -661,12 +660,12 @@ class TestRadauRule:
             for j in idx:
                 x = mp.mpf(float(rule.nodes[j]))
                 for _ in range(6):
-                    vals, total = oracle._series(a + 1, N, x)
-                    step = oracle._mpf(vals[N]) / -oracle._mpf(total)
+                    last, total = oracle._series(a + 1, N, x)
+                    step = oracle._mpf(last) / -oracle._mpf(total)
                     x -= step
                     if abs(step) <= mp.mpf(10) ** -43 * x:
                         break
-                ln = oracle._mpf(oracle._series(a, N, x)[0][N])
+                ln = oracle._mpf(oracle._series(a, N, x)[0])
                 ref = c * mp.exp(x) / ln ** 2
                 assert abs(rule.fun_weights[j] - ref) <= bound * ref
 
