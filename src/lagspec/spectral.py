@@ -14,11 +14,12 @@ vector and the (2M+3)-point rule of the error norms.  psi and dpsi are
 never formed: a combination ``sum_n c_n psi_n`` (or ``dpsi_n``) is the
 series weighted by ``c_m - c_{m-1}`` (or ``(c_m + c_{m-1}) / 2``), and a
 projection on psi is a difference of neighbouring projections on the
-series.  ``solve`` runs ``project_rhs`` (``f(y/beta)`` sampled and
-projected with one matrix-vector product), ``assemble_system`` and an
-LDL^T solve in dptsv's order; ``error_norms`` reads the second rule's basis.
-Solves and sweeps at the same N, such as the sweeps of several problems
-over one grid of N, share the bases.
+series.  ``beta_sweep`` runs N by N: ``f(y/beta)`` at every beta goes
+through one projection on the first rule's basis, each beta through an
+LDL^T solve in dptsv's order, and the values and derivatives of all through
+one synthesis on the second; ``project_rhs``, ``solve`` and ``error_norms``
+are its one-beta case, with its bits.  Solves and sweeps at the same N,
+such as the sweeps of several problems over one grid of N, share the bases.
 """
 
 from __future__ import annotations
@@ -154,34 +155,67 @@ def _build_basis(N: int, K: int) -> tuple[GaussRule, np.ndarray]:
     return rule, lhat
 
 
-def project_rhs(problem: ModelProblem, N: int, M: int, beta: float
-                ) -> np.ndarray:
-    """Load vector ``b[n] = (g/beta^2, psi_n)`` by (M+1)-point quadrature.
+# Products of a stored series with several vectors take them _COLUMNS at a
+# time, as the rows of a zero-padded block of one layout.  OpenBLAS then gives
+# a vector the same bits whatever its place and neighbours (widths 4, 8, 12
+# and 16 do, 10 does not; tests/test_spectral.py checks it).
+_COLUMNS = 12
 
-    ``g(y) = f(y/beta)`` is sampled at the Gauss nodes of the scaled
-    variable; with function-form weights this equals the inner product of
-    the degree-M interpolant exactly.
-    """
+
+def _products(vectors, lhat: np.ndarray, project: bool) -> list:
+    """``lhat @ v`` (``project``, ``v`` over the nodes) or ``v @ lhat`` (``v``
+    over the rows) for each vector ``v``, by blocks of _COLUMNS vectors."""
+    out = []
+    for i in range(0, len(vectors), _COLUMNS):
+        block = np.zeros((_COLUMNS, lhat.shape[project]))
+        block[:len(vectors) - i] = vectors[i:i + _COLUMNS]
+        out.extend((lhat @ block.T).T if project else block @ lhat)
+    return out[:len(vectors)]
+
+
+def _solves(problem: ModelProblem, N: int, M: int, betas):
+    """Yield the load vectors of ``project_rhs`` at each beta, made with one
+    projection, then the coefficients of ``solve``, one LDL^T per beta."""
     # every solve projects here first, so N, M and beta are checked here;
     # beta * beta gives inf where beta ** 2 raises OverflowError
     if N < 1:
         raise ValueError("N must be >= 1")
     if M < N + 1:
         raise ValueError("quadrature order M must be >= N + 1")
-    b2 = beta * beta
-    if not (0.0 < beta < math.inf and 0.0 < b2 < math.inf
-            and 0.0 < problem.gamma / b2 < math.inf):
-        raise ValueError("beta must be finite and > 0, with beta**2 and "
-                         f"gamma/beta**2 positive doubles, got {beta}")
+    for beta in betas:
+        b2 = beta * beta
+        if not (0.0 < beta < math.inf and 0.0 < b2 < math.inf
+                and 0.0 < problem.gamma / b2 < math.inf):
+            raise ValueError("beta must be finite and > 0, with beta**2 and "
+                             f"gamma/beta**2 positive doubles, got {beta}")
     rule, lhat = _rule_basis(N, M)
-    g = _samples(problem.f, "right-hand side", rule.nodes, beta)
+    g = [_samples(problem.f, "right-hand side", rule.nodes, beta)
+         for beta in betas]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         # (g/beta^2, psi_n) = (t_n - t_{n+1})/beta^2
-        t = lhat @ (g * rule.fun_weights)
-        b = (t[:-1] - t[1:]) / beta ** 2
-    if not np.all(np.isfinite(b)):
+        t = _products([v * rule.fun_weights for v in g], lhat, True)
+        loads = [(tk[:-1] - tk[1:]) / beta ** 2 for tk, beta in zip(t, betas)]
+    if not np.all(np.isfinite(loads)):
         raise ArithmeticError("load vector non-finite: f overflows it")
-    return b
+    yield loads
+    coeffs = [_tridiagonal_solve(
+        *assemble_system(N, problem.gamma / beta ** 2), b)
+        for b, beta in zip(loads, betas)]
+    if not np.all(np.isfinite(coeffs)):
+        raise ArithmeticError("Galerkin solve produced non-finite coefficients")
+    yield coeffs
+
+
+def project_rhs(problem: ModelProblem, N: int, M: int, beta: float
+                ) -> np.ndarray:
+    """Load vector ``b[n] = (g/beta^2, psi_n)`` by (M+1)-point quadrature.
+
+    ``g(y) = f(y/beta)`` is sampled at the Gauss nodes of the scaled
+    variable; with function-form weights this equals the inner product of
+    the degree-M interpolant exactly.  The projection is one column of a
+    zero-padded product, as in a sweep.
+    """
+    return next(_solves(problem, N, M, [beta]))[0]
 
 
 def _tridiagonal_solve(diag, off, b) -> np.ndarray:
@@ -215,12 +249,8 @@ def solve(problem: ModelProblem, N: int, M: int | None = None,
     """
     if M is None:
         M = 2 * N
-    b = project_rhs(problem, N, M, beta)
-    diag, off = assemble_system(N, problem.gamma / beta ** 2)
-    coeffs = _tridiagonal_solve(diag, off, b)
-    if not np.all(np.isfinite(coeffs)):
-        raise ArithmeticError("Galerkin solve produced non-finite coefficients")
-    return SpectralSolution(N=N, M=M, beta=beta, coeffs=coeffs,
+    _, coeffs = _solves(problem, N, M, [beta])
+    return SpectralSolution(N=N, M=M, beta=beta, coeffs=coeffs[0],
                             problem=problem)
 
 
@@ -233,21 +263,30 @@ def _samples(fn, name: str, y: np.ndarray, beta: float) -> np.ndarray:
     return v
 
 
-def _norms_at_order(sol: SpectralSolution, rule: GaussRule,
-                    lhat: np.ndarray, h1: bool) -> tuple[float, float]:
-    problem, beta = sol.problem, sol.beta
-    y, w = rule.nodes, rule.fun_weights
-    v_num = _series_coeffs(sol.coeffs, False) @ lhat
-    v_ex = _samples(problem.u_exact, "u_exact", y, beta)
-    l2_y = math.sqrt(float(np.sum((v_ex - v_num) ** 2 * w)))
-    if h1 and problem.u_exact_prime is not None:
-        dv_num = _series_coeffs(sol.coeffs, True) @ lhat
-        dv_ex = _samples(problem.u_exact_prime, "u_exact_prime", y, beta) / beta
-        h1_y = math.sqrt(float(np.sum((dv_ex - dv_num) ** 2 * w)))
-    else:
-        h1_y = float("nan")
-    # transfer y-variable norms back to the physical variable
-    return l2_y / math.sqrt(beta), h1_y * math.sqrt(beta)
+def _norms_at_order(problem: ModelProblem, betas, coeffs: list, basis,
+                    h1: bool) -> list:
+    """``(l2, h1)`` at each beta over the rule basis ``basis()``; the value
+    rows of all coefficients and, with ``h1``, their derivative rows go
+    through one synthesis."""
+    if problem.u_exact is None:  # before any basis is built
+        raise ValueError("problem has no exact solution to compare against")
+    rule, lhat = basis()
+    n = 1 + (h1 and problem.u_exact_prime is not None)
+    v = _products([_series_coeffs(c, d) for c in coeffs
+                   for d in (False, True)[:n]], lhat, False)
+
+    def err(fn, name, v_num, beta, scale=1.0):
+        v_ex = _samples(fn, name, rule.nodes, beta) / scale
+        return math.sqrt(float(np.sum((v_ex - v_num) ** 2 * rule.fun_weights)))
+
+    out = []
+    for j, beta in enumerate(betas):
+        l2_y = err(problem.u_exact, "u_exact", v[n * j], beta)
+        h1_y = float("nan") if n == 1 else err(
+            problem.u_exact_prime, "u_exact_prime", v[n * j + 1], beta, beta)
+        # transfer y-variable norms back to the physical variable
+        out.append((l2_y / math.sqrt(beta), h1_y * math.sqrt(beta)))
+    return out
 
 
 def error_norms(sol: SpectralSolution, *,
@@ -260,13 +299,14 @@ def error_norms(sol: SpectralSolution, *,
     quadrature-induced part of the reported error.  A non-finite exact
     value or derivative at a node is an ArithmeticError naming the node.
     """
-    if sol.problem.u_exact is None:  # before any basis is built
-        raise ValueError("problem has no exact solution to compare against")
-    l2, h1 = _norms_at_order(sol, *_rule_basis(sol.N, 2 * sol.M + 2), True)
+    cell = sol.problem, [sol.beta], [sol.coeffs]
+    [(l2, h1)] = _norms_at_order(
+        *cell, lambda: _rule_basis(sol.N, 2 * sol.M + 2), True)
     quad_est = None
     if check_quadrature:
         # a one-off check, about twice the norm rule's size, L2 only: not kept
-        l2b, _ = _norms_at_order(sol, *_build_basis(sol.N, 4 * sol.M), False)
+        [(l2b, _)] = _norms_at_order(
+            *cell, lambda: _build_basis(sol.N, 4 * sol.M), False)
         quad_est = abs(l2b - l2)
     return ErrorReport(l2_error=l2, h1_semi_error=h1, N=sol.N, beta=sol.beta,
                        quad_error_estimate=quad_est)
@@ -286,22 +326,26 @@ def beta_sweep(problem: ModelProblem, N_list: Sequence[int],
     """Solve/measure over a (beta, N) grid with M = 2N quadrature points;
     beta outer, N inner.
 
-    Each cell is ``error_norms(solve(problem, N, 2N, beta))``, run N by N
-    so that each N's two rule bases are built once (or found in the cache)
-    and serve every beta before the next N's are needed.  A failure is
-    recorded in the ``error`` field of its cell and the sweep continues.
+    Each cell is ``error_norms(solve(problem, N, 2N, beta))``, bit for bit.
+    The grid runs N by N, so that each N's two rule bases are built once
+    (or found in the cache), and all betas of an N share one projection and
+    one synthesis.  If any fails, each runs alone, so that a failure is
+    recorded in the ``error`` field of its own cell and the sweep continues.
     """
     if not N_list or not beta_list:
         raise ValueError("N_list and beta_list must be nonempty")
-    by_N = {}
-    for N in dict.fromkeys(N_list):
-        for beta in beta_list:
-            cell = {"l2_error": None, "h1_error": None, "error": None}
-            try:
-                rep = error_norms(solve(problem, N, 2 * N, beta))
-                cell.update(l2_error=rep.l2_error, h1_error=rep.h1_semi_error)
-            except Exception as exc:
-                cell["error"] = str(exc)
-            by_N.setdefault(N, []).append(cell)
+
+    def cells(N, betas):
+        try:
+            _, coeffs = _solves(problem, N, 2 * N, betas)
+            norms = _norms_at_order(problem, betas, coeffs,
+                                    lambda: _rule_basis(N, 4 * N + 2), True)
+            return [{"l2_error": l2, "h1_error": h1, "error": None}
+                    for l2, h1 in norms]
+        except Exception as exc:
+            if len(betas) > 1:
+                return [c for beta in betas for c in cells(N, [beta])]
+            return [{"l2_error": None, "h1_error": None, "error": str(exc)}]
+    by_N = {N: cells(N, beta_list) for N in dict.fromkeys(N_list)}
     return [{"N": N, "beta": beta, **by_N[N][i]}
             for i, beta in enumerate(beta_list) for N in N_list]

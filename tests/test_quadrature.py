@@ -336,6 +336,22 @@ def eigen_newton():
     return get
 
 
+@pytest.fixture(scope="module")
+def fast_rule():
+    """Per (alpha, N), ``gauss_rule(alpha, N)`` built once, with every
+    warning an error; a build that warns is not kept, so it raises again in
+    each test that asks for it."""
+    cache = {}
+
+    def get(alpha, N):
+        if (alpha, N) not in cache:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cache[alpha, N] = gauss_rule(alpha, N)
+        return cache[alpha, N]
+    return get
+
+
 def _rule_passes(kernel_passes, alpha, N):
     """Kernel passes of ``gauss_rule(alpha, N)`` and of
     ``gauss_radau_rule(alpha, N)``."""
@@ -348,17 +364,15 @@ def _rule_passes(kernel_passes, alpha, N):
 
 
 class _FastSeedChecks:
-    def test_rules_do_not_warn(self, alpha, N):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            gauss_rule(alpha, N)
+    def test_rules_do_not_warn(self, fast_rule, alpha, N):
+        fast_rule(alpha, N)  # built with warnings as errors
 
-    def test_nodes_within_16_ulps_of_eigen_seeded(self, eigen_newton, alpha,
-                                                  N):
+    def test_nodes_within_16_ulps_of_eigen_seeded(self, eigen_newton,
+                                                  fast_rule, alpha, N):
         # the rule's own nodes; node 0 below alpha = 0 is the next test's
         first = int(alpha < 0)
         ref = eigen_newton(alpha, N)["nodes"][first:]
-        assert np.all(np.abs(gauss_rule(alpha, N).nodes[first:] - ref)
+        assert np.all(np.abs(fast_rule(alpha, N).nodes[first:] - ref)
                       <= 16 * np.spacing(ref))
 
 
@@ -370,9 +384,10 @@ class _FastSeedChecks:
     N, marks=pytest.mark.xfail(strict=True, reason="below alpha = 0 the "
                                "smallest node depends on its seed"))
     for N in FAST_NS])
-def test_smallest_node_below_alpha_0_within_16_ulps(eigen_newton, N):
+def test_smallest_node_below_alpha_0_within_16_ulps(eigen_newton, fast_rule,
+                                                     N):
     ref = eigen_newton(-0.5, N)["nodes"][0]
-    assert abs(gauss_rule(-0.5, N).nodes[0] - ref) <= 16 * np.spacing(ref)
+    assert abs(fast_rule(-0.5, N).nodes[0] - ref) <= 16 * np.spacing(ref)
 
 
 @pytest.mark.parametrize("N", FAST_NS)

@@ -571,7 +571,8 @@ class TestSweepPlan:
 
     def test_rule_bases_equal_definition_bitwise(self):
         # every rule basis is the series at the rule's nodes, and the load
-        # vector is the difference of neighbouring projections on it
+        # vector is the difference of neighbouring projections on it, each
+        # column 0 of a product with a zero-padded block of _COLUMNS rows
         load = spectral._rule_basis(8, 16)
         norms = spectral._rule_basis(8, 34)
         check = spectral._build_basis(8, 64)
@@ -583,7 +584,9 @@ class TestSweepPlan:
                 LagParams(0.0, 8), ref.nodes).tobytes()
         problem, beta = make_case("u1").problem, 2.0
         rule, lhat = load
-        t = lhat @ (problem.f(rule.nodes / beta) * rule.fun_weights)
+        block = np.zeros((spectral._COLUMNS, rule.nodes.size))
+        block[0] = problem.f(rule.nodes / beta) * rule.fun_weights
+        t = (lhat @ block.T)[:, 0]
         assert project_rhs(problem, 8, 16, beta).tobytes() == \
             ((t[:-1] - t[1:]) / beta ** 2).tobytes()
 
@@ -593,6 +596,42 @@ class TestSweepPlan:
         for c in cells:
             rep = error_norms(solve(problem, c["N"], 2 * c["N"], c["beta"]))
             assert c["error"] is None
+            assert c["l2_error"].hex() == rep.l2_error.hex()
+            assert c["h1_error"].hex() == rep.h1_semi_error.hex()
+
+    def test_more_betas_than_one_product_equal_direct_solves(self):
+        # 2 _COLUMNS + 1 betas: three projections and, with the derivative
+        # rows, five syntheses per N
+        problem = make_case("u1", k=2.0, gamma=2.0).problem
+        betas = list(np.geomspace(0.5, 16.0, 2 * spectral._COLUMNS + 1))
+        for c in beta_sweep(problem, [8, 64], betas):
+            rep = error_norms(solve(problem, c["N"], 2 * c["N"], c["beta"]))
+            assert c["error"] is None
+            assert c["l2_error"].hex() == rep.l2_error.hex()
+            assert c["h1_error"].hex() == rep.h1_semi_error.hex()
+
+    def test_failed_betas_keep_the_other_cells_bits(self):
+        # beta = 0 fails its check; at beta = 1e-6 the nodes x = y/beta
+        # pass 1e6, where f gives NaN.  Both sit among 2 _COLUMNS good betas
+        base = make_case("u1", k=2.0, gamma=2.0).problem
+        problem = dataclasses.replace(
+            base, f=lambda x: np.where(x < 1e6, base.f(x), np.nan))
+        good = list(np.geomspace(0.5, 16.0, 2 * spectral._COLUMNS))
+        half = spectral._COLUMNS
+        betas = good[:half] + [0.0] + good[half:half + 3] + [1e-6] + \
+            good[half + 3:]
+        cells = beta_sweep(problem, [8, 16], betas)
+        bad = [c for c in cells if c["beta"] in (0.0, 1e-6)]
+        assert len(bad) == 4
+        for c in bad:
+            assert c["l2_error"] is None and c["h1_error"] is None
+            assert c["error"].startswith(
+                "beta must be finite" if c["beta"] == 0.0
+                else "right-hand side non-finite at node x = ")
+        ref = beta_sweep(problem, [8, 16], good)
+        assert [c for c in cells if c not in bad] == ref
+        for c in ref:
+            rep = error_norms(solve(problem, c["N"], 2 * c["N"], c["beta"]))
             assert c["l2_error"].hex() == rep.l2_error.hex()
             assert c["h1_error"].hex() == rep.h1_semi_error.hex()
 
@@ -644,6 +683,33 @@ class TestSweepPlan:
         cells = beta_sweep(make_case("u1").problem, [8], [1.0, 0.0])
         assert cells[0]["error"] == "norm basis broken"
         assert "beta" in cells[1]["error"]
+
+
+class TestPaddedProducts:
+    """A projection ``lhat @ v`` and a synthesis ``v @ lhat`` go through
+    zero-padded products of ``_COLUMNS`` vectors.  Each vector's result
+    must have the same bytes whatever its place in the block, the vectors
+    beside it and their count: sweeps rely on it to give the bits of single
+    solves, and a BLAS whose kernels break it must fail here."""
+
+    @pytest.mark.parametrize("project", [True, False],
+                             ids=["projection", "synthesis"])
+    @pytest.mark.parametrize("N", [1, 2, 8, 64, 512, 1024])
+    def test_bytes_independent_of_place_and_neighbours(self, N, project):
+        count = 2 * spectral._COLUMNS + 3
+        rng = np.random.default_rng(N)
+        for K in (2 * N, 4 * N + 2):  # the load rule and the norm rule
+            _, lhat = spectral._build_basis(N, K)
+            vectors = rng.standard_normal((count, lhat.shape[project]))
+            alone = [spectral._products([v], lhat, project)[0].tobytes()
+                     for v in vectors]
+            for m in range(1, count + 1):
+                got = spectral._products(list(vectors[:m]), lhat, project)
+                assert [g.tobytes() for g in got] == alone[:m], \
+                    f"N={N} K={K}: a vector's bits depend on its block"
+            got = spectral._products(list(vectors[::-1]), lhat, project)
+            assert [g.tobytes() for g in got[::-1]] == alone, \
+                f"N={N} K={K}: a vector's bits depend on its place"
 
 
 class TestBasisCache:

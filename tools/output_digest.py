@@ -5,8 +5,9 @@ output below, so "bitwise unchanged" is one command on each side:
 
     python tools/output_digest.py          # from the repository root
 
-The outputs are ``beta_sweep`` cells of the three model cases and of the
-benchmark's ``sweep`` grid (one output per case and N), ``solve``
+The outputs are ``beta_sweep`` cells of the three model cases, of the
+benchmark's ``sweep`` grid (one output per case and N) and of a u2 sweep
+over 21 betas, one failing (more than one padded product holds), ``solve``
 coefficients of each case at N = 2 to 5 (one per remainder of LAPACK
 dpttrf's unroll by 4) and, with ``error_norms`` (quadrature check on), at
 one larger N, the solution's value and derivative, ``project_rhs``, Gauss
@@ -88,6 +89,11 @@ BENCH_SWEEP_NS = [64, 128, 256, 512]
 BENCH_SWEEPS = [("u1", [1.0, 2.0, 4.47, 8.0, 16.0]),
                 ("u3", [0.25, 0.5, 1.0, 2.0, 4.0])]
 
+# 20 betas from 0.25 up by factors of 1.2, with beta = 0 failing its check
+# in the middle: more columns than one padded product holds
+WIDE_BETAS = [0.25 * 1.2 ** k for k in range(10)] + [0.0] + [
+    0.25 * 1.2 ** k for k in range(10, 20)]
+
 CLI_RUNS = [
     ["quad", "--n", "40", "--alpha", "0.5"],
     ["quad", "--n", "33", "--kind", "radau"],
@@ -132,6 +138,8 @@ def outputs():
         for N in BENCH_SWEEP_NS:
             yield f"bench sweep {name} N={N}", _cells(
                 c for c in cells if c["N"] == N)
+    yield "sweep u2 wide", _cells(spectral.beta_sweep(
+        CASES["u2"], [16, 128], WIDE_BETAS))
     for name, prob in CASES.items():
         for N in (2, 3, 4, 5):
             yield f"solve {name} N={N}", spectral.solve(
